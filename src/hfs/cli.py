@@ -14,8 +14,7 @@ import sys
 from . import identities, sweep as sweep_mod
 from .config import ConfigDocument, ConfigError, parse_config
 from .dynamics import evolve, write_trajectory_csv
-from .model import COHERENCE_LABELS, COHERENCE_PAIRS, ground_state
-from .params import Drive
+from .model import STATE_COLUMNS, ground_state, pack
 from .steady import SingularSystem, solve_selfconsistent
 
 
@@ -56,16 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the spectrum table as CSV")
     p.add_argument("--json", metavar="PATH", dest="json_path",
                    help="also write the table as JSON")
-    p.add_argument("--workers", type=int, metavar="N",
-                   help="worker count (default: HFS_THREADS or 1)")
 
     p = sub.add_parser("validate", help="run the identity suite over the "
                                         "configured sweep grid")
     common(p)
     p.add_argument("--output", metavar="PATH",
                    help="write the identity reports as JSON")
-    p.add_argument("--workers", type=int, metavar="N",
-                   help="worker count (default: HFS_THREADS or 1)")
     return parser
 
 
@@ -104,11 +99,7 @@ def _state_json(rho, result) -> dict:
     out = {"converged": bool(result.converged),
            "iterations": int(result.iterations),
            "residual": float(result.residual)}
-    for i in range(4):
-        out[f"rho{i + 1}{i + 1}"] = float(rho[i, i].real)
-    for (i, j), lbl in zip(COHERENCE_PAIRS, COHERENCE_LABELS):
-        out[f"re_rho{lbl}"] = float(rho[i, j].real)
-        out[f"im_rho{lbl}"] = float(rho[i, j].imag)
+    out.update(zip(STATE_COLUMNS, pack(rho).tolist()))
     out["w_g"] = float(rho[1, 1].real - rho[0, 0].real)
     out["w_e"] = float(rho[3, 3].real - rho[2, 2].real)
     return out
@@ -117,9 +108,7 @@ def _state_json(rho, result) -> dict:
 def _cmd_steady(args) -> int:
     doc = _load_document(args)
     params = doc.system_params()
-    kw = doc.drive_kwargs(params)
-    kw.setdefault("omega", 1.0)
-    drive = Drive(**kw)
+    drive = doc.drive(params)
     try:
         result = solve_selfconsistent(params, drive, doc.solve_options())
     except SingularSystem as exc:
@@ -136,9 +125,7 @@ def _cmd_steady(args) -> int:
 def _cmd_evolve(args) -> int:
     doc = _load_document(args)
     params = doc.system_params()
-    kw = doc.drive_kwargs(params)
-    kw.setdefault("omega", 1.0)
-    drive = Drive(**kw)
+    drive = doc.drive(params)
     traj = evolve(params, drive, ground_state(), t_end=args.t_end)
     rho = traj.final
     print(f"samples: {len(traj)}  t_end: {traj.t[-1]:.6g}")
@@ -153,7 +140,7 @@ def _cmd_sweep(args) -> int:
     doc = _load_document(args)
     params = doc.system_params()
     spec = doc.sweep_spec(params)
-    table = sweep_mod.run_sweep(params, spec, n_workers=args.workers)
+    table = sweep_mod.run_sweep(params, spec)
     sweep_mod.write_csv(table, args.output)
     if args.json_path:
         sweep_mod.write_json(table, args.json_path)
@@ -166,7 +153,7 @@ def _cmd_validate(args) -> int:
     doc = _load_document(args)
     params = doc.system_params()
     spec = doc.sweep_spec(params)
-    table = sweep_mod.run_sweep(params, spec, n_workers=args.workers)
+    table = sweep_mod.run_sweep(params, spec)
     reports = []
     for omega in spec.omegas:
         reports.append(identities.check_mirror_relations(table, omega))

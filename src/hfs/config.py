@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .params import TWO_PI, SystemParams
+from .params import TWO_PI, Drive, SystemParams
 from .steady import SolveOptions
 from .sweep import SweepSpec
 
@@ -67,7 +67,7 @@ UNITS = ("MHz", "gamma", "delta_u")
 
 # value kinds: "freq" (float with optional unit), "float", "int", "bool",
 # "float_list"; the units tuple lists the suffixes a freq key accepts and its
-# first entry names the unsuffixed default.
+# first entry is the unit of an unsuffixed value.
 SCHEMA: dict[str, dict[str, tuple]] = {
     "system": {
         "gamma": ("freq", ("MHz",)),
@@ -110,7 +110,7 @@ class Entry:
     raw: str                      # value text as written (normalised spacing)
     kind: str                     # float | int | bool | float_list | freq
     value: object                 # parsed, unit-unresolved value
-    unit: str | None = None
+    unit: str | None = None       # freq keys: suffix, else the default unit
     line: int = field(default=0, compare=False)
 
 
@@ -137,7 +137,7 @@ class ConfigDocument:
         base = SystemParams()
         gamma_ref = base.gamma_ref
         if "gamma" in sec:
-            gamma_ref = _freq_si(sec["gamma"], None, None)
+            gamma_ref = _freq_si(sec["gamma"])
         delta_u = None   # system keys must not use the delta_u suffix
 
         def freq(key, default):
@@ -161,7 +161,7 @@ class ConfigDocument:
                               ("omega0", "omega0")):
             if cfg_key in sec:
                 kw[attr] = float(sec[cfg_key].value)
-        return SystemParams(**kw)
+        return _build("system", SystemParams, **kw)
 
     def drive_kwargs(self, params: SystemParams) -> dict:
         sec = self.entries.get("drive", {})
@@ -176,6 +176,11 @@ class ConfigDocument:
             kw["ndd_enabled"] = bool(sec["ndd"].value)
         return kw
 
+    def drive(self, params: SystemParams) -> Drive:
+        """The [drive] section as a :class:`Drive` (omega defaults to 1)."""
+        return _build("drive", Drive, **{"omega": 1.0,
+                                          **self.drive_kwargs(params)})
+
     def solve_options(self) -> SolveOptions:
         sec = self.entries.get("solver", {})
         kw = {}
@@ -185,7 +190,7 @@ class ConfigDocument:
             kw["max_iters"] = int(sec["max_iters"].value)
         if "damping" in sec:
             kw["damping"] = float(sec["damping"].value)
-        return SolveOptions(**kw)
+        return _build("solver", SolveOptions, **kw)
 
     def sweep_spec(self, params: SystemParams) -> SweepSpec:
         sec = self.entries.get("sweep", {})
@@ -201,12 +206,11 @@ class ConfigDocument:
             else (0.5, 5.0, 20.0, 100.0)
         ndd = bool(sec["ndd"].value) if "ndd" in sec else False
         if lo == -hi and count % 2 == 1:
-            return SweepSpec.paper_grid(params, count=count,
-                                        span_delta_u=hi / params.delta_u,
-                                        omegas=omegas, ndd=ndd,
-                                        options=self.solve_options())
-        return SweepSpec.linear(lo, hi, count, omegas, ndd=ndd,
-                                options=self.solve_options())
+            return _build("sweep", SweepSpec.paper_grid, params, count=count,
+                          span_delta_u=hi / params.delta_u, omegas=omegas,
+                          ndd=ndd, options=self.solve_options())
+        return _build("sweep", SweepSpec.linear, lo, hi, count, omegas,
+                      ndd=ndd, options=self.solve_options())
 
     def serialize(self) -> str:
         lines = []
@@ -220,13 +224,22 @@ class ConfigDocument:
         return "\n".join(lines)
 
 
-def _freq_si(entry: Entry, gamma_ref, delta_u) -> float:
-    """MHz-suffixed (or unsuffixed MHz-default) value -> rad/s."""
+def _build(section: str, make, *args, **kw):
+    """Turn config values into a domain object; its rejections are config
+    errors."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def _freq_si(entry: Entry) -> float:
+    """MHz value -> rad/s."""
     return float(entry.value) * TWO_PI * 1e6
 
 
 def _freq_gamma(entry: Entry, gamma_ref: float, delta_u: float | None) -> float:
-    if entry.unit == "MHz" or (entry.unit is None and entry.kind == "freq_mhz"):
+    if entry.unit == "MHz":
         return float(entry.value) * TWO_PI * 1e6 / gamma_ref
     if entry.unit == "delta_u":
         if delta_u is None:
@@ -283,14 +296,10 @@ def _parse_value(section: str, key: str, text: str, line: int) -> Entry:
         if kind != "freq" or unit not in units:
             raise UnitMismatchError(
                 f"key {key!r} does not accept unit {unit!r}", line=line)
-    value = float(num)
-    if kind == "freq" and unit is None:
-        # unsuffixed value takes the key's default unit
-        unit = None
-        k = "freq_mhz" if units[0] == "MHz" else "freq"
-        return Entry(raw=num, kind=k, value=value, unit=None, line=line)
     raw = num if unit is None else f"{num} {unit}"
-    return Entry(raw=raw, kind=kind, value=value, unit=unit, line=line)
+    if kind == "freq" and unit is None:
+        unit = units[0]
+    return Entry(raw=raw, kind=kind, value=float(num), unit=unit, line=line)
 
 
 def parse_config(text: str) -> ConfigDocument:

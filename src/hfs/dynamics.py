@@ -18,16 +18,13 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
-from .model import COHERENCE_LABELS, COHERENCE_PAIRS, pack, rhs_verbatim, unpack
+from .model import STATE_COLUMNS, pack, rhs_verbatim, unpack
 from .params import Drive, SystemParams, effective_rabi
 from .steady import SteadyResult, generator_matrix, residual_norm
 
 _TRACE_DEFECT_LIMIT = 1e-9
 
-TRAJECTORY_CSV_HEADER = (
-    "t,rho11,rho22,rho33,rho44,"
-    + ",".join(f"re_rho{p},im_rho{p}" for p in COHERENCE_LABELS)
-)
+TRAJECTORY_CSV_HEADER = ",".join(("t",) + STATE_COLUMNS)
 
 
 class StepSizeUnderflow(Exception):
@@ -75,28 +72,20 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
     if sol.status == -1:
         raise StepSizeUnderflow(float(sol.t[-1]) if len(sol.t) else 0.0)
 
-    corrections = []
-    rhos = np.empty((sol.y.shape[1], 4, 4), dtype=complex)
-    for k in range(sol.y.shape[1]):
-        r = unpack(sol.y[:, k])
-        tr = np.trace(r).real
-        if abs(tr - 1.0) > _TRACE_DEFECT_LIMIT:
-            r = r / tr
-            corrections.append(float(sol.t[k]))
-        rhos[k] = r
+    rhos = np.ascontiguousarray(np.moveaxis(unpack(sol.y), -1, 0))
+    tr = np.trace(rhos, axis1=1, axis2=2).real
+    drifted = np.abs(tr - 1.0) > _TRACE_DEFECT_LIMIT
+    rhos[drifted] /= tr[drifted, None, None]
     return Trajectory(t=sol.t.copy(), rho=rhos, dense=t_eval is not None,
-                      trace_corrections=corrections)
+                      trace_corrections=sol.t[drifted].tolist())
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Trajectory dump: populations and Re/Im coherences per sample."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for t, r in zip(traj.t, traj.rho):
-            cols = [t] + [r[i, i].real for i in range(4)]
-            for i, j in COHERENCE_PAIRS:
-                cols += [r[i, j].real, r[i, j].imag]
-            fh.write(",".join(f"{v:.17g}" for v in cols) + "\n")
+        for t, x in zip(traj.t, pack(np.moveaxis(traj.rho, 0, -1)).T):
+            fh.write(",".join(f"{v:.17g}" for v in (t, *x)) + "\n")
 
 
 def relax_to_steady(params: SystemParams, drive: Drive,

@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .params import Drive, SystemParams, gamma_set
-from .steady import SolveOptions, solve_linear_steady, solve_selfconsistent
-from .params import bare_rabi
+from .model import STATE_COLUMNS, unpack
+from .params import Drive, SystemParams, bare_rabi, gamma_set
+from .steady import solve_linear_steady
 from .sweep import SpectrumTable
 
 _PAIR_MATCH_RTOL = 1e-9
@@ -137,18 +137,9 @@ def check_raman_steady_table(params: SystemParams, table: SpectrumTable,
 
 
 def _table_rhos(table: SpectrumTable, omega: float) -> np.ndarray:
-    from .model import COHERENCE_LABELS, COHERENCE_PAIRS
-    pops = np.stack([table.column(f"rho{i}{i}", omega) for i in range(1, 5)],
-                    axis=1)
-    npts = pops.shape[0]
-    rhos = np.zeros((npts, 4, 4), dtype=complex)
-    for i in range(4):
-        rhos[:, i, i] = pops[:, i]
-    for (i, j), lbl in zip(COHERENCE_PAIRS, COHERENCE_LABELS):
-        c = table.coherence(lbl, omega)
-        rhos[:, i, j] = c
-        rhos[:, j, i] = np.conj(c)
-    return rhos
+    """(n, 4, 4) density matrices rebuilt from the table's state columns."""
+    x = np.stack([table.column(c, omega) for c in STATE_COLUMNS])
+    return np.moveaxis(unpack(x), -1, 0)
 
 
 def check_raman_symmetric_form(params: SystemParams, table: SpectrumTable,

@@ -9,7 +9,17 @@ must agree elementwise and any disagreement indicates a transcription error.
 State convention: 4x4 complex Hermitian rho, levels |1>,|2> ground and
 |3>,|4> excited.  The 16-dimensional real packing used by the linear steady
 solver lives here as well (populations first, then Re/Im of the six lower-
-triangle coherences in the order 21, 31, 32, 41, 42, 43).
+triangle coherences in the order 21, 31, 32, 41, 42, 43); ``STATE_COLUMNS``
+names the packed components in that order, and this module is the only one
+that knows the mapping.
+
+Stacks: ``pack`` and ``unpack`` also take a trailing batch axis,
+``(4, 4, K) <-> (16, K)``, and entry ``[..., k]`` of the result is exactly the
+single-state result for entry ``[..., k]`` of the input.  ``rhs_verbatim`` at
+a given ``rabi`` evaluates a ``(4, 4, K)`` stack with the same arithmetic; it
+matches per-state calls up to the rounding of numpy's vectorised complex
+product, and exactly wherever every product is exact (as for the unit states
+that build the steady solver's generator matrix).
 """
 
 from __future__ import annotations
@@ -18,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (Drive, RabiSet, SystemParams, bare_rabi, effective_rabi,
-                     gamma_set)
+from .params import Drive, RabiSet, SystemParams, effective_rabi, gamma_set
 
 #: lower-triangle coherences in packing order, 0-based (i, j) with i > j
 COHERENCE_PAIRS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
@@ -31,25 +40,41 @@ AS_PRINTED = "as_printed"
 GAMMA_CONSISTENT = "gamma_consistent"
 
 
+#: names of the 16 packed components, in packing order
+STATE_COLUMNS = (tuple(f"rho{i}{i}" for i in range(1, 5))
+                 + tuple(f"{p}_rho{lbl}" for lbl in COHERENCE_LABELS
+                         for p in ("re", "im")))
+
+_DIAG = np.arange(4)
+_LOWER = tuple(np.array(ix) for ix in zip(*COHERENCE_PAIRS))
+_UPPER = _LOWER[::-1]
+
+
 def pack(rho: np.ndarray) -> np.ndarray:
-    """Hermitian 4x4 -> real 16-vector (populations, Re/Im coherences)."""
-    x = np.empty(16)
-    x[0:4] = np.real(np.diag(rho))
-    for k, (i, j) in enumerate(COHERENCE_PAIRS):
-        x[4 + 2 * k] = rho[i, j].real
-        x[5 + 2 * k] = rho[i, j].imag
+    """Hermitian 4x4 -> real 16-vector (populations, Re/Im coherences).
+
+    A ``(4, 4, K)`` stack packs to ``(16, K)``.
+    """
+    rho = np.asarray(rho)
+    x = np.empty((16,) + rho.shape[2:])
+    x[0:4] = np.real(rho[_DIAG, _DIAG])
+    c = rho[_LOWER]
+    x[4::2] = c.real
+    x[5::2] = c.imag
     return x
 
 
 def unpack(x: np.ndarray) -> np.ndarray:
-    """Real 16-vector -> Hermitian 4x4 (hermiticity holds by construction)."""
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        rho[i, i] = x[i]
-    for k, (i, j) in enumerate(COHERENCE_PAIRS):
-        c = x[4 + 2 * k] + 1j * x[5 + 2 * k]
-        rho[i, j] = c
-        rho[j, i] = c.conjugate()
+    """Real 16-vector -> Hermitian 4x4 (hermiticity holds by construction).
+
+    A ``(16, K)`` stack unpacks to ``(4, 4, K)``.
+    """
+    x = np.asarray(x)
+    rho = np.zeros((4, 4) + x.shape[1:], dtype=complex)
+    rho[_DIAG, _DIAG] = x[0:4]
+    c = x[4::2] + 1j * x[5::2]
+    rho[_LOWER] = c
+    rho[_UPPER] = c.conjugate()
     return rho
 
 
@@ -88,7 +113,9 @@ def rhs_verbatim(params: SystemParams, drive: Drive, rho: np.ndarray,
     """Literal equations of motion; returns drho/dt, Hermitian-completed.
 
     ``rabi`` freezes the couplings (used by the linear steady solver); by
-    default they are evaluated self-consistently from ``rho``.
+    default they are evaluated self-consistently from ``rho``.  A
+    ``(4, 4, K)`` stack of states needs ``rabi``: the couplings are shared by
+    the whole stack.
     """
     if rabi is None:
         rabi = effective_rabi(params, drive, rho)
@@ -98,7 +125,7 @@ def rhs_verbatim(params: SystemParams, drive: Drive, rho: np.ndarray,
     gs = gamma_set(params, drive.delta(params))
     r = rho
 
-    out = np.zeros((4, 4), dtype=complex)
+    out = np.zeros(np.shape(r), dtype=complex)
 
     t1 = o13 * r[0, 2] + o14 * r[0, 3]
     out[0, 0] = g31 * r[2, 2] + g41 * r[3, 3] + 1j * (t1 - t1.conjugate())
@@ -122,8 +149,7 @@ def rhs_verbatim(params: SystemParams, drive: Drive, rho: np.ndarray,
     out[3, 2] = gs.g43 * r[3, 2] + 1j * (
         o13 * r[3, 0] - o14 * r[0, 2] + o23 * r[3, 1] - o24 * r[1, 2])
 
-    for i, j in COHERENCE_PAIRS:
-        out[j, i] = out[i, j].conjugate()
+    out[_UPPER] = out[_LOWER].conjugate()
     return out
 
 

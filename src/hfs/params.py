@@ -8,7 +8,8 @@ of gamma (rad/s) and is only used when converting to/from laboratory units
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,6 +55,9 @@ class SystemParams:
     gamma_ref: float = SODIUM_GAMMA_REF
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("gamma31", "gamma32", "gamma41", "gamma42"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -126,13 +130,15 @@ class Drive:
     epsilon: dict[str, float] | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega) and math.isfinite(self.delta_c)):
+            raise ValueError("omega and delta_c must be finite")
         if self.omega < 0:
             raise ValueError("omega must be >= 0")
         if self.epsilon is not None:
             if set(self.epsilon) != set(PAIRS):
                 raise ValueError(f"epsilon must have keys {PAIRS}")
-            if any(v < 0 for v in self.epsilon.values()):
-                raise ValueError("epsilon values must be >= 0")
+            if not all(0 <= v < math.inf for v in self.epsilon.values()):
+                raise ValueError("epsilon values must be finite and >= 0")
 
     def delta(self, params: SystemParams) -> float:
         """Bare field detuning from the |3>-|2> line."""

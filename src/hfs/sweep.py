@@ -2,9 +2,9 @@
 
 Grid points along the detuning axis are solved in ascending order with
 warm-start continuation (each point starts the fixed-point iteration from
-its neighbour's solution); different intensities are independent and may run
-on separate workers.  Failed points are kept in the table, flagged, never
-interpolated.
+its neighbour's solution); intensities are solved one after another and are
+independent of each other.  Failed points are kept in the table, flagged,
+never interpolated.
 """
 
 from __future__ import annotations
@@ -12,21 +12,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import optics
-from .model import COHERENCE_LABELS, COHERENCE_PAIRS
+from .model import STATE_COLUMNS, pack
 from .params import Drive, SystemParams
 from .steady import SingularSystem, SolveOptions, solve_selfconsistent
 
 COLUMNS = (
-    ["delta_c_over_delta_u", "omega_over_gamma", "ndd",
-     "rho11", "rho22", "rho33", "rho44"]
-    + [f"{p}_rho{lbl}" for lbl in COHERENCE_LABELS for p in ("re", "im")]
-    + ["w_g", "w_e",
+    ["delta_c_over_delta_u", "omega_over_gamma", "ndd", *STATE_COLUMNS,
+     "w_g", "w_e",
        "chi31_re", "chi31_im", "chi41_re", "chi41_im",
        "n31", "ng31", "n41", "ng41",
        "dispersion_class_31", "line_class_31",
@@ -54,10 +51,13 @@ class SweepSpec:
         grid = np.asarray(self.delta_c, dtype=float)
         if grid.size < 3:
             raise ValueError("detuning grid needs at least 3 points")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("detuning grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("detuning grid must be strictly increasing")
-        if len(self.omegas) < 1 or any(w <= 0 for w in self.omegas):
-            raise ValueError("omega list must contain positive values")
+        if len(self.omegas) < 1 or not all(0 < w < np.inf
+                                           for w in self.omegas):
+            raise ValueError("omega list must contain positive finite values")
         if self.symmetric_grid and np.max(np.abs(grid + grid[::-1])) != 0.0:
             raise ValueError("symmetric_grid set but grid is not mirror-"
                              "symmetric about 0")
@@ -145,11 +145,7 @@ def _solve_one_intensity(params: SystemParams, spec: SweepSpec,
                                        replace(opts, warm_start=warm))
             rho = res.rho
             warm = rho
-            for i in range(4):
-                rec[f"rho{i + 1}{i + 1}"] = float(rho[i, i].real)
-            for (i, j), lbl in zip(COHERENCE_PAIRS, COHERENCE_LABELS):
-                rec[f"re_rho{lbl}"] = float(rho[i, j].real)
-                rec[f"im_rho{lbl}"] = float(rho[i, j].imag)
+            rec.update(zip(STATE_COLUMNS, pack(rho).tolist()))
             wg, we = optics.population_transfer(rho)
             rec["w_g"], rec["w_e"] = wg, we
             for tr in ("31", "41"):
@@ -189,33 +185,11 @@ def _solve_one_intensity(params: SystemParams, spec: SweepSpec,
     return records
 
 
-def default_workers() -> int:
-    env = os.environ.get("HFS_THREADS")
-    if env is not None:
-        n = int(env)
-        if n < 1:
-            raise ValueError("HFS_THREADS must be a positive integer")
-        return n
-    return 1
-
-
-def run_sweep(params: SystemParams, spec: SweepSpec,
-              n_workers: int | None = None) -> SpectrumTable:
-    """Solve the full grid; deterministic output regardless of worker count."""
-    if n_workers is None:
-        n_workers = default_workers()
-    n_workers = max(1, min(n_workers, len(spec.omegas)))
-    if n_workers == 1:
-        per_omega = [_solve_one_intensity(params, spec, w)
-                     for w in spec.omegas]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            per_omega = list(pool.map(
-                lambda w: _solve_one_intensity(params, spec, w), spec.omegas))
+def run_sweep(params: SystemParams, spec: SweepSpec) -> SpectrumTable:
+    """Solve the full grid in (omega, delta_c) order."""
     records = []
-    # assembled in (omega, delta_c) order independent of completion order
-    for recs in per_omega:
-        records.extend(recs)
+    for omega in spec.omegas:
+        records.extend(_solve_one_intensity(params, spec, omega))
     return SpectrumTable(records=records)
 
 

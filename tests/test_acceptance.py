@@ -162,8 +162,6 @@ def test_criterion_09_dispersion_bookkeeping(table):
 def test_criterion_10_determinism(params, spec, table, tmp_path):
     p_ref = tmp_path / "ref.csv"
     write_csv(table, p_ref)
-    for run, workers in (("again", 1), ("threads", 4)):
-        p2 = tmp_path / f"{run}.csv"
-        write_csv(run_sweep(params, spec, n_workers=workers), p2)
-        assert p2.read_bytes() == p_ref.read_bytes(), (
-            f"CSV differs for rerun with {workers} workers")
+    p2 = tmp_path / "again.csv"
+    write_csv(run_sweep(params, spec), p2)
+    assert p2.read_bytes() == p_ref.read_bytes(), "CSV differs on rerun"

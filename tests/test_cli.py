@@ -104,6 +104,23 @@ class TestSweep:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, setting", [
+        ("steady", "drive.omega=-1"),
+        ("steady", "drive.omega=1e999"),
+        ("steady", "solver.damping=0"),
+        ("steady", "system.delta_g=-1"),
+        ("sweep", "sweep.delta_c_count=2"),
+        ("sweep", "sweep.omega_list=0.0"),
+    ])
+    def test_invalid_value_exit_code(self, capsys, tmp_path, command,
+                                     setting):
+        code = run_cli([command, "--set", setting,
+                        "--output", str(tmp_path / "x.out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.out").exists()
+
     def test_bad_set_syntax(self, capsys, tmp_path):
         code = run_cli(["sweep", "--set", "omega=5",
                         "--output", str(tmp_path / "x.csv")])

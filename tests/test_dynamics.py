@@ -65,7 +65,10 @@ class TestEvolve:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == TRAJECTORY_CSV_HEADER
+        assert lines[0] == TRAJECTORY_CSV_HEADER == (
+            "t,rho11,rho22,rho33,rho44,re_rho21,im_rho21,re_rho31,im_rho31,"
+            "re_rho32,im_rho32,re_rho41,im_rho41,re_rho42,im_rho42,"
+            "re_rho43,im_rho43")
         assert len(lines) == 6
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0

@@ -4,7 +4,7 @@ import pytest
 import hfs
 from hfs.model import (AS_PRINTED, GAMMA_CONSISTENT, pack, unpack,
                        validate_density_matrix)
-from hfs.params import bare_rabi
+from hfs.params import bare_rabi, gamma_set
 
 
 def random_density_matrix(rng):
@@ -21,6 +21,13 @@ def test_pack_unpack_roundtrip():
     assert np.allclose(pack(unpack(x)), x, atol=1e-15)
     r = unpack(x)
     assert np.max(np.abs(r - r.conj().T)) == 0.0
+    # a trailing batch axis gives exactly the per-state results
+    rhos = np.stack([random_density_matrix(rng) for _ in range(5)], axis=-1)
+    xs = rng.normal(size=(16, 5))
+    assert pack(rhos).shape == (16, 5) and unpack(xs).shape == (4, 4, 5)
+    for k in range(5):
+        assert np.array_equal(pack(rhos)[:, k], pack(rhos[..., k]))
+        assert np.array_equal(unpack(xs)[..., k], unpack(xs[:, k]))
 
 
 class TestHamiltonian:
@@ -101,6 +108,33 @@ class TestGenerators:
                                      - hfs.rhs_oracle(p, d, rho)))
                 worst = max(worst, diff)
         assert worst < 1e-12
+
+    def test_verbatim_on_stack_matches_per_state(self):
+        rng = np.random.default_rng(21)
+        # dyadic states and coefficients: every product is exact, so the
+        # stack must reproduce the per-state calls bit for bit
+        p = hfs.SystemParams(delta_g=24.0, delta_e=3.0)
+        d = hfs.Drive(omega=2.0, delta_c=0.5)
+        rabi = bare_rabi(p, d)
+        rhos = unpack(rng.integers(-8, 9, size=(16, 6)) / 8.0)
+        out = hfs.rhs_verbatim(p, d, rhos, rabi=rabi)
+        for k in range(6):
+            assert np.array_equal(
+                out[..., k], hfs.rhs_verbatim(p, d, rhos[..., k], rabi=rabi))
+        # general states: numpy's vectorised complex product may round
+        # differently from its scalar one, by at most an ulp of the terms
+        p = hfs.sodium_d1()
+        d = hfs.Drive(omega=5.0, delta_c=0.7 * p.delta_u)
+        rabi = bare_rabi(p, d)
+        coef = max([abs(g) for g in vars(gamma_set(p, d.delta(p))).values()]
+                   + [rabi.max_abs(), 2.0])
+        rhos = np.stack([random_density_matrix(rng) for _ in range(20)],
+                        axis=-1)
+        out = hfs.rhs_verbatim(p, d, rhos, rabi=rabi)
+        tol = 8 * np.finfo(float).eps * coef * np.max(np.abs(rhos))
+        for k in range(20):
+            ref = hfs.rhs_verbatim(p, d, rhos[..., k], rabi=rabi)
+            assert np.max(np.abs(out[..., k] - ref)) <= tol
 
     def test_two_level_block_reduces_to_bloch_equations(self):
         # decoupled {|1>,|3>} block: generator restricted to that block must

@@ -25,6 +25,18 @@ def test_invariants_rejected():
         hfs.SystemParams(number_density=-1.0)
     with pytest.raises(ValueError):
         hfs.Drive(omega=-1.0)
+    for bad in (float("nan"), float("inf")):
+        for kw in ({"gamma31": bad}, {"delta_e": bad}, {"mu13": bad},
+                   {"number_density": bad}, {"dipole_moment": bad}):
+            with pytest.raises(ValueError):
+                hfs.SystemParams(**kw)
+        with pytest.raises(ValueError):
+            hfs.Drive(omega=bad)
+        with pytest.raises(ValueError):
+            hfs.Drive(omega=1.0, delta_c=bad)
+        with pytest.raises(ValueError):
+            hfs.Drive(omega=1.0, epsilon=dict.fromkeys(
+                ("13", "14", "23", "24"), bad))
 
 
 class TestEpsilon:

@@ -23,6 +23,9 @@ class TestGeneratorMatrix:
             x = rng.normal(size=16)
             direct = pack(hfs.rhs_verbatim(params, drive, unpack(x), rabi=rabi))
             assert np.max(np.abs(a @ x - direct)) < 1e-12
+        for k, e in enumerate(np.eye(16)):
+            assert np.array_equal(a[:, k], pack(
+                hfs.rhs_verbatim(params, drive, unpack(e), rabi=rabi)))
 
     def test_trace_row_sums_to_zero(self, params):
         drive = hfs.Drive(omega=2.0, delta_c=-40.0)
@@ -110,8 +113,9 @@ class TestSelfConsistent:
         assert warm.iterations <= cold.iterations
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            hfs.SolveOptions(fp_tol=0.0)
+        for fp_tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                hfs.SolveOptions(fp_tol=fp_tol)
         with pytest.raises(ValueError):
             hfs.SolveOptions(damping=0.0)
         with pytest.raises(ValueError):
