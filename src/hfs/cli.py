@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import identities, sweep as sweep_mod
@@ -123,6 +124,10 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    if not 0.0 < args.t_end < math.inf:
+        print(f"usage error: --t-end must be positive and finite, "
+              f"got {args.t_end!r}", file=sys.stderr)
+        return 2
     doc = _load_document(args)
     params = doc.system_params()
     drive = doc.drive(params)

@@ -65,6 +65,8 @@ class SweepSpec:
     @classmethod
     def linear(cls, lo: float, hi: float, count: int, omegas, ndd=False,
                options: SolveOptions | None = None) -> "SweepSpec":
+        if not np.isfinite(float(hi) - float(lo)):
+            raise ValueError("detuning range must be finite")
         grid = np.linspace(lo, hi, count)
         sym = bool(np.max(np.abs(grid + grid[::-1])) == 0.0)
         return cls(delta_c=tuple(grid), omegas=tuple(omegas), ndd=ndd,
@@ -78,6 +80,8 @@ class SweepSpec:
         """Symmetric grid over +-span*delta_u, built exactly mirror-symmetric."""
         if count % 2 == 0:
             raise ValueError("symmetric grid needs an odd point count")
+        if not np.isfinite(float(span_delta_u) * params.delta_u):
+            raise ValueError("detuning span must be finite")
         half = np.linspace(0.0, span_delta_u * params.delta_u,
                            (count + 1) // 2)
         grid = np.concatenate([-half[:0:-1], half])

@@ -82,6 +82,16 @@ class TestEvolve:
         assert len(lines) > 2
 
 
+    @pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf"])
+    def test_bad_t_end_exit_code(self, capsys, tmp_path, t_end):
+        out = tmp_path / "traj.csv"
+        code = run_cli(["evolve", "--t-end", t_end, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --t-end") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestSweep:
 
     def test_csv_and_json_outputs(self, capsys, tmp_path):
@@ -120,6 +130,22 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("settings", [
+        ["sweep.delta_c_max=1e999"],
+        ["sweep.delta_c_min=-1e999", "sweep.delta_c_max=1e999"],
+    ])
+    def test_nonfinite_bound_exit_code(self, capsys, tmp_path, settings):
+        # rejected before the grid is built, so numpy has nothing to warn of
+        out = tmp_path / "x.csv"
+        args = [a for s in settings for a in ("--set", s)]
+        code = run_cli(["sweep", *args, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [sweep]")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_set_syntax(self, capsys, tmp_path):
         code = run_cli(["sweep", "--set", "omega=5",

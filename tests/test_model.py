@@ -136,6 +136,33 @@ class TestGenerators:
             ref = hfs.rhs_verbatim(p, d, rhos[..., k], rabi=rabi)
             assert np.max(np.abs(out[..., k] - ref)) <= tol
 
+    def test_generator_affine_in_couplings(self):
+        # A(rabi) = A(0) + sum_q rabi_q B_q exactly, with one basis B for all
+        # parameters and detunings (the couplings carry pure-number
+        # coefficients), including zeroed dipole multipliers and decay rates
+        from hfs.params import PAIRS, effective_rabi
+        from hfs.steady import _coupling_basis, generator_matrix
+        basis = _coupling_basis()
+        assert basis.shape == (4, 16, 16) and not basis.flags.writeable
+        rng = np.random.default_rng(2024)
+        zero = hfs.RabiSet(0.0, 0.0, 0.0, 0.0)
+        for _ in range(200):
+            gam = rng.uniform(0.0, 3.0, 4) * (rng.random(4) < 0.8)
+            mu = rng.uniform(-2.0, 2.0, 4) * (rng.random(4) < 0.8)
+            p = hfs.SystemParams(
+                gamma31=gam[0], gamma32=gam[1], gamma41=gam[2],
+                gamma42=gam[3], mu13=mu[0], mu14=mu[1], mu23=mu[2],
+                mu24=mu[3], delta_g=rng.uniform(1.0, 200.0),
+                delta_e=rng.uniform(1.0, 50.0))
+            eps = dict(zip(PAIRS, rng.uniform(0.0, 2.0, 4)))
+            d = hfs.Drive(omega=rng.uniform(0.0, 100.0),
+                          delta_c=rng.uniform(-5.0, 5.0) * p.delta_u,
+                          ndd_enabled=True, epsilon=eps)
+            rabi = effective_rabi(p, d, random_density_matrix(rng))
+            split = generator_matrix(p, d, zero) + sum(
+                r * b for r, b in zip(rabi.as_dict().values(), basis))
+            assert np.array_equal(generator_matrix(p, d, rabi), split)
+
     def test_two_level_block_reduces_to_bloch_equations(self):
         # decoupled {|1>,|3>} block: generator restricted to that block must
         # match the standard two-level optical Bloch right-hand side

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hfs
+import hfs.steady
 from hfs.model import pack, unpack
 from hfs.params import bare_rabi
 from hfs.steady import generator_matrix
@@ -78,7 +79,8 @@ class TestSelfConsistent:
                           ndd_enabled=True)
         res = hfs.solve_selfconsistent(params, drive)
         assert res.converged
-        assert res.iterations > 1
+        # a cold start takes Newton at most four solves past the bare one
+        assert 1 < res.iterations <= 4
         # the returned state satisfies the self-consistent equations
         assert hfs.residual_norm(params, drive, res.rho) < 1e-10
         # and the reported couplings reproduce themselves
@@ -130,6 +132,87 @@ class TestSelfConsistent:
                                        hfs.SolveOptions(max_iters=2))
         assert not res.converged
         assert res.message != ""
+
+
+class TestNewton:
+    """Newton on the four couplings against the damped-Picard fallback."""
+
+    @staticmethod
+    def picard_only(monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("forced")
+        monkeypatch.setattr(hfs.steady, "_newton_step", singular)
+
+    def test_matches_picard(self, params, monkeypatch):
+        drives = [hfs.Drive(omega=om, delta_c=dc * params.delta_u,
+                            ndd_enabled=True)
+                  for om in (0.5, 5.0, 20.0, 100.0)
+                  for dc in np.linspace(-5.0, 5.0, 9)]
+        newton = [hfs.solve_selfconsistent(params, d) for d in drives]
+        self.picard_only(monkeypatch)
+        picard = [hfs.solve_selfconsistent(params, d) for d in drives]
+        for a, b in zip(newton, picard):
+            assert a.converged and b.converged
+            assert a.iterations < b.iterations
+            assert np.max(np.abs(a.rho - b.rho)) < 1e-12
+
+    def test_jacobian_matches_finite_differences(self, params):
+        # _newton_step returns J^-1 r; with r = e_k that is column k of J^-1,
+        # J being the derivative of the map rabi -> rabi - mu*omega + eps*Re x
+        from hfs.params import PAIRS, RabiSet
+        from hfs.steady import _PAIR_RE, _newton_step, _steady_system
+        eps = np.array([0.8, 1.1, 0.6, 1.3])
+        drive = hfs.Drive(omega=5.0, delta_c=0.3 * params.delta_u,
+                          ndd_enabled=True, epsilon=dict(zip(PAIRS, eps)))
+        rabi = np.array([4.6, 5.2, 4.9, 5.4])
+
+        def fixed_point_map(r):
+            x = _steady_system(params, drive, RabiSet(*r))[0]
+            return r + eps * x[_PAIR_RE]
+
+        h = 1e-6
+        jac = np.column_stack([
+            (fixed_point_map(rabi + h * e) - fixed_point_map(rabi - h * e))
+            / (2 * h) for e in np.eye(4)])
+        x, _, lu_piv, kept = _steady_system(params, drive, RabiSet(*rabi))
+        inv = np.column_stack([_newton_step(x, lu_piv, kept, eps, e)
+                               for e in np.eye(4)])
+        assert np.max(np.abs(inv @ jac - np.eye(4))) < 1e-7
+
+    @pytest.mark.parametrize("fault", ["raise", "nan", "uphill"])
+    def test_fallback_after_failed_step(self, params, monkeypatch, fault):
+        # the first step is Newton's; the second fails, and Picard continues
+        # from the last iterate to the same fixed point
+        drive = hfs.Drive(omega=20.0, delta_c=-0.4 * params.delta_u,
+                          ndd_enabled=True)
+        ref = hfs.solve_selfconsistent(params, drive)
+        newton_step = hfs.steady._newton_step
+        calls = []
+
+        def faulty(*args):
+            calls.append(fault)
+            step = newton_step(*args)
+            if len(calls) == 1:
+                return step
+            if fault == "raise":
+                raise np.linalg.LinAlgError("forced")
+            return step * np.nan if fault == "nan" else -3.0 * step
+
+        monkeypatch.setattr(hfs.steady, "_newton_step", faulty)
+        res = hfs.solve_selfconsistent(params, drive)
+        assert len(calls) == 2
+        assert res.converged
+        assert res.iterations > ref.iterations
+        assert np.max(np.abs(res.rho - ref.rho)) < 1e-12
+
+    def test_max_iters_bounds_fallback(self, params, monkeypatch):
+        drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
+                          ndd_enabled=True)
+        self.picard_only(monkeypatch)
+        res = hfs.solve_selfconsistent(params, drive,
+                                       hfs.SolveOptions(max_iters=3))
+        assert not res.converged
+        assert res.iterations == 3
 
 
 def test_steady_states_on_random_drives(params):

@@ -38,6 +38,15 @@ class TestSweepSpec:
             SweepSpec(delta_c=(-1.0, 0.0, 2.0), omegas=(1.0,),
                       symmetric_grid=True)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_bounds_rejected_before_grid(self, params):
+        big = np.float64(1e308)
+        for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (-big, big)):
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec.linear(lo, hi, 5, (1.0,))
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec.paper_grid(params, count=5, span_delta_u=np.inf)
+
     def test_paper_grid_exactly_symmetric(self, params):
         spec = SweepSpec.paper_grid(params, count=101, span_delta_u=3.0)
         grid = np.asarray(spec.delta_c)
