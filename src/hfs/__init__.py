@@ -7,7 +7,8 @@ from .params import (Drive, GammaSet, RabiSet, SystemParams, bare_rabi,
 from .model import (hamiltonian, rhs_oracle, rhs_verbatim,
                     validate_density_matrix, ground_state)
 from .steady import (SingularSystem, SolveOptions, SteadyResult,
-                     residual_norm, solve_linear_steady, solve_selfconsistent)
+                     residual_norm, solve_grid, solve_linear_steady,
+                     solve_selfconsistent)
 from .dynamics import Trajectory, evolve, relax_to_steady
 from .optics import (group_index_profile, population_transfer,
                      refractive_index, susceptibility)
@@ -21,7 +22,8 @@ __all__ = [
     "sodium_d1_cyclic_splittings",
     "hamiltonian", "rhs_oracle", "rhs_verbatim", "validate_density_matrix",
     "ground_state", "SingularSystem", "SolveOptions", "SteadyResult",
-    "residual_norm", "solve_linear_steady", "solve_selfconsistent",
+    "residual_norm", "solve_grid", "solve_linear_steady",
+    "solve_selfconsistent",
     "Trajectory", "evolve", "relax_to_steady", "group_index_profile",
     "population_transfer", "refractive_index", "susceptibility",
     "SpectrumTable", "SweepSpec", "run_sweep", "summarize",

@@ -58,10 +58,10 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
     instantaneous state at every stage.  Trace drift beyond 1e-9 triggers a
     renormalisation of the stored sample, each logged in the trajectory.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):
+        raise ValueError("tolerances must be positive and finite")
 
     def f(t, x):
         return pack(rhs_verbatim(params, drive, unpack(x)))

@@ -5,9 +5,17 @@ components, so the steady state is a direct linear solve with one population
 row traded for the unit-trace constraint.  With the local-field correction
 enabled the four effective couplings depend on Re(rho_ij), and the steady
 state is a fixed point in those couplings.  It is found by Newton's method on
-the couplings, whose 4x4 Jacobian comes from differentiating the linear solve
-(reusing its LU factors); a damped Picard iteration takes over whenever a
-Newton step fails to make progress.
+the couplings, whose 4x4 Jacobian comes from differentiating the linear
+solve; a damped Picard iteration takes over whenever a Newton step fails to
+make progress.
+
+:func:`solve_selfconsistent` solves one drive.  :func:`solve_grid` solves a
+whole detuning axis at one drive strength as one stack: the generator is
+affine in the detuning and the couplings,
+``A = A(0) + delta * A_delta + sum_q rabi_q * B_q``, so the axis is a single
+``(N, 16, 16)`` array with batched solves, and Newton runs in lockstep over
+it.  Both share the row handling and the Newton step, and
+:func:`solve_selfconsistent` is the reference the grid is checked against.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .model import STATE_COLUMNS, pack, rhs_verbatim, unpack
 from .params import (PAIRS, Drive, RabiSet, SystemParams, bare_rabi,
@@ -24,11 +32,19 @@ from .params import (PAIRS, Drive, RabiSet, SystemParams, bare_rabi,
 
 _ZERO_ROW_TOL = 1e-13
 
+#: largest packed residual a linear solve may leave before it is rejected
+_RESIDUAL_GATE = 1e-8
+
 #: the trace-constraint right-hand side of the replaced population-1 row
 _TRACE_RHS = np.eye(16)[0]
 
+#: population rows 2..4, the ones that may be pinned
+_PINNABLE = np.arange(1, 4)
+
 #: packed index of Re(rho_ij) for each coupled pair, in ``PAIRS`` order
 _PAIR_RE = np.array([STATE_COLUMNS.index(f"re_rho{p[::-1]}") for p in PAIRS])
+
+_NO_COUPLING = RabiSet(0.0, 0.0, 0.0, 0.0)
 
 
 class SingularSystem(Exception):
@@ -53,7 +69,6 @@ class SolveOptions:
     fp_tol: float = 1e-11
     max_iters: int = 500
     damping: float = 0.5
-    warm_start: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 < self.fp_tol < np.inf):
@@ -84,6 +99,11 @@ def generator_matrix(params: SystemParams, drive: Drive,
     return pack(rhs_verbatim(params, drive, unpack(np.eye(16)), rabi=rabi))
 
 
+def _couplings(rabi: RabiSet) -> np.ndarray:
+    """The four couplings as an array, in ``PAIRS`` order."""
+    return np.array([rabi.o13, rabi.o14, rabi.o23, rabi.o24])
+
+
 @functools.cache
 def _coupling_basis() -> np.ndarray:
     """(4, 16, 16) stack B with A(rabi) = A(0) + sum_q rabi_q * B[q].
@@ -93,44 +113,86 @@ def _coupling_basis() -> np.ndarray:
     the split is exact.  Built once from :func:`generator_matrix`, read-only.
     """
     params, drive = SystemParams(), Drive(omega=0.0)
-    a0 = generator_matrix(params, drive, RabiSet(0.0, 0.0, 0.0, 0.0))
+    a0 = generator_matrix(params, drive, _NO_COUPLING)
     basis = np.stack([generator_matrix(params, drive, RabiSet(*e)) - a0
                       for e in np.eye(4)])
     basis.flags.writeable = False
     return basis
 
 
+@functools.cache
+def _detuning_basis() -> np.ndarray:
+    """16x16 matrix A_delta with A(delta) = A(0) + delta * A_delta.
+
+    The bare detuning enters the equations of motion with unit coefficients,
+    so A_delta depends on no parameter.  It is built from
+    :func:`generator_matrix` with unit splittings, where ``delta_c`` = 0 and
+    -1 put the detuning at exactly 1 and 0, so every entry is exact;
+    read-only.
+    """
+    params = SystemParams(delta_g=1.0, delta_e=1.0)
+    basis = (generator_matrix(params, Drive(omega=0.0), _NO_COUPLING)
+             - generator_matrix(params, Drive(omega=0.0, delta_c=-1.0),
+                                _NO_COUPLING))
+    basis.flags.writeable = False
+    return basis
+
+
+def _detuning_stack(params: SystemParams, delta_c: np.ndarray) -> np.ndarray:
+    """(N, 16, 16) generators without couplings at the detunings ``delta_c``.
+
+    ``A(0)`` comes from :func:`generator_matrix` at ``delta_c = -delta_u``,
+    where the detuning is exactly 0.  An entry matches the per-point
+    generator exactly or, where the per-point build subtracts both
+    splittings from the detuning, to rounding.
+    """
+    a0 = generator_matrix(params, Drive(omega=0.0, delta_c=-params.delta_u),
+                          _NO_COUPLING)
+    delta = np.asarray(delta_c, dtype=float) + params.delta_u
+    return a0 + delta[:, None, None] * _detuning_basis()
+
+
+def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steady-state system matrices from generators ``a``, (..., 16, 16).
+
+    The population-1 row is replaced by the trace constraint, and every
+    population row that is identically zero (a level fully decoupled from
+    drive and decay) is pinned to zero, matching evolution from the ground
+    state.  Returns ``(m, kept)``, ``kept`` masking the generator rows kept
+    as equations.
+    """
+    row_max = np.max(np.abs(a), axis=-1)
+    scale = np.maximum(np.max(row_max, axis=-1, keepdims=True), 1.0)
+    kept = row_max >= _ZERO_ROW_TOL * scale
+    kept[..., 0] = False
+    kept[..., 4:] = True
+    m = np.where(kept[..., None], a, 0.0)
+    m[..., 0, 0:4] = 1.0
+    m[..., _PINNABLE, _PINNABLE] = np.where(
+        kept[..., _PINNABLE], m[..., _PINNABLE, _PINNABLE], 1.0)
+    return m, kept
+
+
 def _steady_system(params: SystemParams, drive: Drive, rabi: RabiSet):
     """Factor and solve the steady-state system at a frozen Rabi set.
 
-    The population-1 row is replaced by the trace constraint, and every
-    population row that is identically zero is pinned to zero.  Returns
-    ``(x, m, lu_piv, kept)``: the packed solution, the system matrix, its LU
-    factors and the mask of generator rows kept as equations.
+    Returns ``(x, m, kept)``: the packed solution, the system matrix of
+    :func:`_system_rows` and its mask of kept rows.  Raises
+    :class:`SingularSystem` when the couplings all vanish or the system has
+    no unique finite solution.
     """
     if rabi.max_abs() == 0.0:
         raise SingularSystem("all effective couplings vanish; "
                              "ground populations are undetermined")
-    a = generator_matrix(params, drive, rabi)
-    row_max = np.max(np.abs(a), axis=1)
-    kept = row_max >= _ZERO_ROW_TOL * max(row_max.max(), 1.0)
-    kept[0] = False
-    kept[4:] = True
-    m = np.where(kept[:, None], a, 0.0)
-    m[0, 0:4] = 1.0
-    pinned = np.flatnonzero(~kept[1:4]) + 1
-    m[pinned, pinned] = 1.0
-    try:
-        lu_piv = scipy.linalg.lu_factor(m)
-        x = scipy.linalg.lu_solve(lu_piv, _TRACE_RHS)
-        # one step of iterative refinement keeps the residual near round-off
-        x += scipy.linalg.lu_solve(lu_piv, _TRACE_RHS - m @ x)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc), cond=float(np.linalg.cond(m))) from exc
-    if not np.all(np.isfinite(x)):
+    m, kept = _system_rows(generator_matrix(params, drive, rabi))
+    lu, piv, info = lapack.dgetrf(m)
+    x = lapack.dgetrs(lu, piv, _TRACE_RHS)[0]
+    if info != 0 or not np.all(np.isfinite(x)):
         raise SingularSystem("steady-state system is rank deficient",
                              cond=float(np.linalg.cond(m)))
-    return x, m, lu_piv, kept
+    # one step of iterative refinement keeps the residual near round-off
+    x += lapack.dgetrs(lu, piv, _TRACE_RHS - m @ x)[0]
+    return x, m, kept
 
 
 def solve_linear_steady(params: SystemParams, drive: Drive,
@@ -142,11 +204,11 @@ def solve_linear_steady(params: SystemParams, drive: Drive,
     drive and decay) is pinned to zero, matching evolution from the ground
     state.  Any remaining rank deficiency raises :class:`SingularSystem`.
     """
-    x, m, _, _ = _steady_system(params, drive, rabi)
+    x, m, _ = _steady_system(params, drive, rabi)
     # the physical residual excludes the replaced rows
     resid = float(np.max(np.abs(pack(
         rhs_verbatim(params, drive, unpack(x), rabi=rabi)))))
-    if resid > 1e-8:
+    if resid > _RESIDUAL_GATE:
         raise SingularSystem("steady-state system is rank deficient",
                              cond=float(np.linalg.cond(m)))
     return unpack(x)
@@ -159,24 +221,28 @@ def residual_norm(params: SystemParams, drive: Drive,
     return float(np.max(np.abs(rhs_verbatim(params, drive, rho, rabi=rabi))))
 
 
-def _newton_step(x: np.ndarray, lu_piv, kept: np.ndarray, eps: np.ndarray,
+def _rho_max_abs(x: np.ndarray) -> np.ndarray:
+    """Max-abs element of the 4x4 matrices behind packed ``x`` (..., 16)."""
+    return np.maximum(np.max(np.abs(x[..., 0:4]), axis=-1),
+                      np.max(np.hypot(x[..., 4::2], x[..., 5::2]), axis=-1))
+
+
+def _newton_step(x: np.ndarray, m: np.ndarray, kept: np.ndarray,
+                 eps: np.ndarray,
                  fixed_point_residual: np.ndarray) -> np.ndarray:
     """Newton correction to the couplings from the solution ``x`` at them.
 
     Differentiating M x = b gives dx/drabi_q = -M^-1 B~_q x, where B~_q is
-    the coupling matrix with the replaced and pinned rows zeroed; the solve
-    reuses the LU factors of M.  The fixed-point map's Jacobian is then
-    I + diag(eps) dRe(x_p)/drabi_q.  Raises ``LinAlgError`` when singular.
+    the coupling matrix with the replaced and pinned rows zeroed.  The
+    fixed-point map's Jacobian is then I + diag(eps) dRe(x_p)/drabi_q.
+    Takes one point or a stack (leading axes on every argument but
+    ``eps``).  Raises ``LinAlgError`` when any matrix is singular.
     """
-    rhs = np.where(kept[:, None], (_coupling_basis() @ x).T, 0.0)
-    dx = -scipy.linalg.lu_solve(lu_piv, rhs)
-    jac = np.eye(4) + eps[:, None] * dx[_PAIR_RE]
-    return np.linalg.solve(jac, fixed_point_residual)
-
-
-def _max_change(x_new: np.ndarray, x: np.ndarray) -> float:
-    """Max-abs elementwise change of rho between two packed states."""
-    return float(np.max(np.abs(unpack(x_new) - unpack(x))))
+    bx = np.swapaxes(np.tensordot(x, _coupling_basis(), axes=(-1, -1)),
+                     -1, -2)
+    dx = -np.linalg.solve(m, np.where(kept[..., None], bx, 0.0))
+    jac = np.eye(4) + eps[:, None] * dx[..., _PAIR_RE, :]
+    return np.linalg.solve(jac, fixed_point_residual[..., None])[..., 0]
 
 
 def _picard(params: SystemParams, drive: Drive, opts: SolveOptions,
@@ -201,18 +267,16 @@ def _newton(params: SystemParams, drive: Drive, opts: SolveOptions,
             eps: np.ndarray) -> tuple[np.ndarray, bool, int]:
     """Newton iteration on the couplings, falling back to :func:`_picard`.
 
-    A cold start's first iterate is the solve at the bare couplings, which
-    counts as no iteration; a warm start begins at the couplings of the warm
-    state and its first solve is iteration 1.  The fallback continues from
-    the last iterate when the fixed-point residual fails to decrease, the
-    Jacobian is singular, or a step is not finite.
+    The first iterate is the solve at the bare couplings, which counts as no
+    iteration.  The fallback continues from the last iterate when the
+    fixed-point residual fails to decrease, the Jacobian is singular, or a
+    step is not finite.
     """
-    bare = np.array(list(bare_rabi(params, drive).as_dict().values()))
-    x_prev = None if opts.warm_start is None else pack(opts.warm_start)
-    rabi = bare if x_prev is None else bare - eps * x_prev[_PAIR_RE]
-    x, _, lu_piv, kept = _steady_system(params, drive, RabiSet(*rabi))
-    iterations = 0 if x_prev is None else 1
-    converged = x_prev is not None and _max_change(x, x_prev) < opts.fp_tol
+    bare = _couplings(bare_rabi(params, drive))
+    rabi = bare
+    x, m, kept = _steady_system(params, drive, RabiSet(*rabi))
+    iterations = 0
+    converged = False
     last_resid = np.inf
     while not converged and iterations < opts.max_iters:
         fp_resid = rabi - (bare - eps * x[_PAIR_RE])
@@ -221,15 +285,15 @@ def _newton(params: SystemParams, drive: Drive, opts: SolveOptions,
             break
         last_resid = resid
         try:
-            step = _newton_step(x, lu_piv, kept, eps, fp_resid)
+            step = _newton_step(x, m, kept, eps, fp_resid)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
             break
         rabi = rabi - step
-        x_new, _, lu_piv, kept = _steady_system(params, drive, RabiSet(*rabi))
+        x_new, m, kept = _steady_system(params, drive, RabiSet(*rabi))
         iterations += 1
-        converged = _max_change(x_new, x) < opts.fp_tol
+        converged = float(_rho_max_abs(x_new - x)) < opts.fp_tol
         x = x_new
     else:
         return unpack(x), converged, iterations
@@ -273,3 +337,163 @@ def solve_selfconsistent(params: SystemParams, drive: Drive,
         message="" if converged else
         f"fixed-point iteration did not converge in {opts.max_iters} steps",
     )
+
+
+@dataclass(frozen=True)
+class GridSolution:
+    """Steady states along a detuning axis, one row per detuning.
+
+    ``x`` holds the packed states, with NaN rows where ``singular`` marks a
+    point without a unique steady state; ``converged``, ``iterations`` and
+    ``residual`` are the per-point fields of :class:`SteadyResult` (False, 0
+    and NaN at a singular point).
+    """
+
+    x: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    singular: np.ndarray
+
+
+def _with_couplings(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
+    """Generators from a coupling-free stack and couplings (4,) or (N, 4)."""
+    return base + np.tensordot(rabi, _coupling_basis(), axes=1)
+
+
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Matrix-vector products over a stack: (N, 16, 16) with (N, 16)."""
+    return (m @ x[..., None])[..., 0]
+
+
+def _solve_stack(base: np.ndarray, rabi: np.ndarray):
+    """The steady-state systems of a generator stack, solved together.
+
+    ``base`` holds the (N, 16, 16) generators without couplings and ``rabi``
+    the couplings, (4,) or (N, 4).  Returns ``(x, a, m, kept, ok)``: the
+    packed solutions, the generators, the system matrices and kept-row masks
+    of :func:`_system_rows`, and the points whose solve is usable (couplings
+    not all zero, solution finite).  ``x`` is zero where ``ok`` is False.
+    One exactly singular matrix fails the whole batched solve, and then no
+    point is usable.
+    """
+    a = _with_couplings(base, rabi)
+    m, kept = _system_rows(a)
+    try:
+        x = np.linalg.solve(m, _TRACE_RHS[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.zeros((len(a), 16)), a, m, kept, np.zeros(len(a), bool)
+    ok = np.all(np.isfinite(x), axis=-1) & np.any(rabi != 0.0, axis=-1)
+    x[~ok] = 0.0
+    # one step of iterative refinement, as in _steady_system
+    x += np.linalg.solve(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
+    ok &= np.all(np.isfinite(x), axis=-1)
+    x[~ok] = 0.0
+    return x, a, m, kept, ok
+
+
+def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+                     opts: SolveOptions):
+    """Cold Newton on the couplings of every point of a stack at once.
+
+    The stack form of :func:`_newton` up to its Picard fallback: each point
+    leaves the lockstep when the max-abs change in rho drops below
+    ``fp_tol`` or it has spent ``max_iters`` iterations.  Returns
+    ``(x, converged, iterations, retry)``; ``retry`` marks the points whose
+    fixed-point residual failed to decrease, whose step was not finite or
+    whose system was singular, which are left for the per-point solver.
+    """
+    n = len(base)
+    rabi = np.tile(bare, (n, 1))
+    x, _, m, kept, ok = _solve_stack(base, rabi)
+    retry = ~ok
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    last_resid = np.full(n, np.inf)
+    live = np.flatnonzero(ok)
+    while live.size:
+        fp_resid = rabi[live] - (bare - eps * x[live][:, _PAIR_RE])
+        resid = np.max(np.abs(fp_resid), axis=-1)
+        moving = resid < last_resid[live]
+        last_resid[live] = resid
+        retry[live[~moving]] = True
+        live, fp_resid = live[moving], fp_resid[moving]
+        try:
+            step = _newton_step(x[live], m[live], kept[live], eps, fp_resid)
+        except np.linalg.LinAlgError:
+            step = np.full_like(fp_resid, np.nan)
+        finite = np.all(np.isfinite(step), axis=-1)
+        retry[live[~finite]] = True
+        live, step = live[finite], step[finite]
+        rabi[live] -= step
+        x_new, _, m[live], kept[live], ok = _solve_stack(base[live],
+                                                         rabi[live])
+        retry[live[~ok]] = True
+        iterations[live] += 1
+        converged[live] = ok & (_rho_max_abs(x_new - x[live]) < opts.fp_tol)
+        x[live] = x_new
+        spent = iterations[live] >= opts.max_iters
+        live = live[ok & ~converged[live] & ~spent]
+    return x, converged, iterations, retry
+
+
+def solve_grid(params: SystemParams, omega: float, delta_c,
+               ndd_enabled: bool = False,
+               opts: SolveOptions | None = None) -> GridSolution:
+    """Steady states at drive ``omega`` over the detuning axis ``delta_c``.
+
+    Point by point the same as :func:`solve_selfconsistent` up to rounding.
+    The generators of all points form one stack, solved by one batched LU
+    and one refinement step; with the local-field correction, Newton runs in
+    lockstep over the stack from the bare couplings, followed by a clean
+    solve at the couplings reached.  The residual gate of
+    :func:`solve_linear_steady` and the ``residual`` of :func:`residual_norm`
+    are computed on the stack.  A point the stack does not settle (a
+    singular or non-finite solve, a failed gate, a Newton step that stalls
+    or is not finite) is solved again by :func:`solve_selfconsistent`, and
+    its :class:`SingularSystem` marks the point singular.
+    """
+    opts = opts or SolveOptions()
+    delta_c = np.asarray(delta_c, dtype=float)
+    drive = Drive(omega=omega, ndd_enabled=ndd_enabled)
+    eps = np.array([drive.epsilon_for(params)[p] for p in PAIRS])
+    bare = _couplings(bare_rabi(params, drive))
+    ndd_active = ndd_enabled and bool(np.any(eps != 0.0))
+    base = _detuning_stack(params, delta_c)
+    n = delta_c.size
+
+    if ndd_active:
+        x, converged, iterations, retry = _lockstep_newton(base, bare, eps,
+                                                           opts)
+    else:
+        x = np.zeros((n, 16))
+        converged, iterations = np.ones(n, dtype=bool), np.ones(n, dtype=int)
+        retry = np.zeros(n, dtype=bool)
+
+    # the clean solve at the couplings reached, gated as solve_linear_steady
+    live = np.flatnonzero(~retry)
+    rabi = bare - eps * x[live][:, _PAIR_RE] if ndd_active else bare
+    x_live, a, _, _, ok = _solve_stack(base[live], rabi)
+    ok &= np.max(np.abs(_apply(a, x_live)), axis=-1) <= _RESIDUAL_GATE
+    if ndd_active:
+        # the residual is taken at the couplings of the state returned
+        a = _with_couplings(base[live], bare - eps * x_live[:, _PAIR_RE])
+    residual = np.full(n, np.nan)
+    x[live], residual[live] = x_live, _rho_max_abs(_apply(a, x_live))
+    retry[live[~ok]] = True
+
+    singular = np.zeros(n, dtype=bool)
+    for k in np.flatnonzero(retry):
+        point = Drive(omega=omega, delta_c=float(delta_c[k]),
+                      ndd_enabled=ndd_enabled)
+        try:
+            res = solve_selfconsistent(params, point, opts)
+        except SingularSystem:
+            singular[k] = True
+            x[k], converged[k], iterations[k] = np.nan, False, 0
+            residual[k] = np.nan
+            continue
+        x[k], converged[k] = pack(res.rho), res.converged
+        iterations[k], residual[k] = res.iterations, res.residual
+    return GridSolution(x=x, converged=converged, iterations=iterations,
+                        residual=residual, singular=singular)

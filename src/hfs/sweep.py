@@ -1,25 +1,22 @@
 """Detuning/intensity sweeps and their serialization.
 
-Grid points along the detuning axis are solved in ascending order with
-warm-start continuation (each point starts the fixed-point iteration from
-its neighbour's solution); intensities are solved one after another and are
-independent of each other.  Failed points are kept in the table, flagged,
-never interpolated.
+Each intensity is solved as one stack over the whole detuning axis by
+:func:`hfs.steady.solve_grid`; every point starts cold, so the points (and
+the intensities) are independent of each other.  Points without a unique
+steady state are kept in the table, flagged, never interpolated.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import optics
-from .model import STATE_COLUMNS, pack
+from .model import STATE_COLUMNS, unpack
 from .params import Drive, SystemParams
-from .steady import SingularSystem, SolveOptions, solve_selfconsistent
+from .steady import SolveOptions, solve_grid
 
 COLUMNS = (
     ["delta_c_over_delta_u", "omega_over_gamma", "ndd", *STATE_COLUMNS,
@@ -88,21 +85,6 @@ class SweepSpec:
         return cls(delta_c=tuple(grid), omegas=tuple(omegas), ndd=ndd,
                    options=options or SolveOptions(), symmetric_grid=True)
 
-    def digest(self) -> str:
-        """Short content hash for output-file provenance."""
-        payload = json.dumps(
-            {"delta_c": list(self.delta_c), "omegas": list(self.omegas),
-             "ndd": self.ndd, "fp_tol": self.options.fp_tol,
-             "max_iters": self.options.max_iters,
-             "damping": self.options.damping},
-            sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def hashed_path(base: str, spec: SweepSpec) -> str:
-    root, ext = os.path.splitext(base)
-    return f"{root}.{spec.digest()}{ext}"
-
 
 @dataclass
 class SpectrumTable:
@@ -136,30 +118,16 @@ class SpectrumTable:
 def _solve_one_intensity(params: SystemParams, spec: SweepSpec,
                          omega: float) -> list[dict]:
     delta_u = params.delta_u
-    opts = spec.options
+    sol = solve_grid(params, omega, spec.delta_c, spec.ndd, spec.options)
+    rhos = unpack(sol.x.T)
+    # the susceptibility depends on the drive's strength, not its detuning
+    drive = Drive(omega=omega, ndd_enabled=spec.ndd)
     records = []
-    warm = None
     chis = {"31": [], "41": []}
-    for dc in spec.delta_c:
-        drive = Drive(omega=omega, delta_c=dc, ndd_enabled=spec.ndd)
+    for k, dc in enumerate(spec.delta_c):
         rec = {"delta_c_over_delta_u": dc / delta_u,
                "omega_over_gamma": omega, "ndd": spec.ndd}
-        try:
-            res = solve_selfconsistent(params, drive,
-                                       replace(opts, warm_start=warm))
-            rho = res.rho
-            warm = rho
-            rec.update(zip(STATE_COLUMNS, pack(rho).tolist()))
-            wg, we = optics.population_transfer(rho)
-            rec["w_g"], rec["w_e"] = wg, we
-            for tr in ("31", "41"):
-                s = optics.susceptibility(params, drive, rho, tr)
-                rec[f"chi{tr}_re"], rec[f"chi{tr}_im"] = s.chi_re, s.chi_im
-                chis[tr].append(s.chi)
-            rec["converged"] = bool(res.converged)
-            rec["iterations"] = int(res.iterations)
-            rec["residual"] = float(res.residual)
-        except SingularSystem as exc:
+        if sol.singular[k]:
             for c in COLUMNS[3:]:
                 if c in _STR_COLUMNS:
                     rec[c] = ""
@@ -169,10 +137,20 @@ def _solve_one_intensity(params: SystemParams, spec: SweepSpec,
                     rec[c] = 0
                 else:
                     rec[c] = float("nan")
-            rec["converged"] = False
             for tr in ("31", "41"):
                 chis[tr].append(complex("nan"))
-            warm = None
+        else:
+            rho = rhos[..., k]
+            rec.update(zip(STATE_COLUMNS, sol.x[k].tolist()))
+            wg, we = optics.population_transfer(rho)
+            rec["w_g"], rec["w_e"] = wg, we
+            for tr in ("31", "41"):
+                s = optics.susceptibility(params, drive, rho, tr)
+                rec[f"chi{tr}_re"], rec[f"chi{tr}_im"] = s.chi_re, s.chi_im
+                chis[tr].append(s.chi)
+            rec["converged"] = bool(sol.converged[k])
+            rec["iterations"] = int(sol.iterations[k])
+            rec["residual"] = float(sol.residual[k])
         records.append(rec)
 
     grid = np.asarray(spec.delta_c, dtype=float)

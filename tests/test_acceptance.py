@@ -11,7 +11,7 @@ import hfs
 from hfs.identities import (check_evenness, check_mirror_relations,
                             check_raman_steady_table, two_level_oracle_check,
                             two_level_reduction, two_level_steady)
-from hfs.model import pack, unpack
+from hfs.model import STATE_COLUMNS, unpack
 from hfs.params import TWO_PI, SODIUM_DELTA_E_MHZ, SODIUM_DELTA_G_MHZ, bare_rabi
 from hfs.sweep import SweepSpec, run_sweep, write_csv
 
@@ -88,22 +88,39 @@ def test_criterion_05_identity_suite(params, table):
         assert raman.n_points == 2001
 
 
-def test_criterion_06_dual_solver_oracle(params, spec):
+def _row_rhos(table, omega, picks):
+    """Density matrices of the table rows ``picks`` at ``omega``."""
+    x = np.array([table.column(c, omega) for c in STATE_COLUMNS])
+    return np.moveaxis(unpack(x[:, picks]), -1, 0)
+
+
+def test_criterion_06_dual_solver_oracle(params, spec, table):
     rng = np.random.default_rng(2024)
     grid = np.asarray(spec.delta_c)
     for om in OMEGAS:
         picks = rng.choice(grid.size, size=20, replace=False)
         for ndd in (False, True):
-            for k in picks:
+            # the rows behind the figures: the NDD-off table, and a sweep
+            # with NDD on over the picked detunings
+            if ndd:
+                order = np.argsort(picks)
+                ndd_table = run_sweep(params, SweepSpec(
+                    delta_c=tuple(grid[picks[order]]), omegas=(om,),
+                    ndd=True))
+                rows = _row_rhos(ndd_table, om, np.argsort(order))
+            else:
+                rows = _row_rhos(table, om, picks)
+            for k, row in zip(picks, rows):
                 drive = hfs.Drive(omega=om, delta_c=float(grid[k]),
                                   ndd_enabled=ndd)
                 direct = hfs.solve_selfconsistent(params, drive).rho
                 relaxed = hfs.relax_to_steady(params, drive,
                                               residual_tol=1e-9, t_max=1e8)
-                diff = float(np.max(np.abs(relaxed.rho - direct)))
-                assert diff < 1e-6, (
-                    f"solver mismatch {diff:.3e} at omega={om} "
-                    f"delta_c={grid[k]:.3f} ndd={ndd}")
+                for name, rho in (("solver", direct), ("sweep row", row)):
+                    diff = float(np.max(np.abs(relaxed.rho - rho)))
+                    assert diff < 1e-6, (
+                        f"{name} mismatch {diff:.3e} at omega={om} "
+                        f"delta_c={grid[k]:.3f} ndd={ndd}")
 
 
 def test_criterion_07_two_level_limit():

@@ -51,12 +51,22 @@ class TestEvolve:
         ref = unpack(scipy.linalg.expm(a * t_end) @ pack(hfs.ground_state()))
         assert np.max(np.abs(traj.final - ref)) < 1e-8
 
-    def test_invalid_arguments(self, params):
+    def test_invalid_arguments(self, params, monkeypatch):
+        # rejected before integrating: an infinite or nan t_end would never
+        # return, so the integrator must not be reached at all
+        def never(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+        monkeypatch.setattr(hfs.dynamics, "solve_ivp", never)
         drive = hfs.Drive(omega=1.0)
-        with pytest.raises(ValueError):
-            hfs.evolve(params, drive, hfs.ground_state(), t_end=0.0)
-        with pytest.raises(ValueError):
-            hfs.evolve(params, drive, hfs.ground_state(), t_end=1.0, rtol=-1)
+        inf, nan = float("inf"), float("nan")
+        for t_end in (0.0, -1.0, inf, nan):
+            with pytest.raises(ValueError, match="t_end"):
+                hfs.evolve(params, drive, hfs.ground_state(), t_end=t_end)
+        for tol in (-1.0, 0.0, inf, nan):
+            for kw in ({"rtol": tol}, {"atol": tol}):
+                with pytest.raises(ValueError, match="tolerances"):
+                    hfs.evolve(params, drive, hfs.ground_state(), t_end=1.0,
+                               **kw)
 
     def test_csv_round_values(self, params, tmp_path):
         drive = hfs.Drive(omega=1.0)

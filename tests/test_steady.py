@@ -104,16 +104,6 @@ class TestSelfConsistent:
         rho_off = hfs.solve_selfconsistent(params, drive_off).rho
         assert np.max(np.abs(rho_on - rho_off)) < 1e-14
 
-    def test_warm_start_converges_faster(self, params):
-        drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
-                          ndd_enabled=True)
-        cold = hfs.solve_selfconsistent(params, drive)
-        warm = hfs.solve_selfconsistent(
-            params, drive.replace(delta_c=drive.delta_c + 0.01),
-            hfs.SolveOptions(warm_start=cold.rho))
-        assert warm.converged
-        assert warm.iterations <= cold.iterations
-
     def test_options_validation(self):
         for fp_tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -174,8 +164,8 @@ class TestNewton:
         jac = np.column_stack([
             (fixed_point_map(rabi + h * e) - fixed_point_map(rabi - h * e))
             / (2 * h) for e in np.eye(4)])
-        x, _, lu_piv, kept = _steady_system(params, drive, RabiSet(*rabi))
-        inv = np.column_stack([_newton_step(x, lu_piv, kept, eps, e)
+        x, m, kept = _steady_system(params, drive, RabiSet(*rabi))
+        inv = np.column_stack([_newton_step(x, m, kept, eps, e)
                                for e in np.eye(4)])
         assert np.max(np.abs(inv @ jac - np.eye(4))) < 1e-7
 
@@ -213,6 +203,158 @@ class TestNewton:
                                        hfs.SolveOptions(max_iters=3))
         assert not res.converged
         assert res.iterations == 3
+
+
+#: decay rates and dipole multipliers that link each level to the others
+_LEVEL_LINKS = {2: ("gamma32", "gamma42", "mu23", "mu24"),
+                3: ("gamma31", "gamma32", "mu13", "mu23"),
+                4: ("gamma41", "gamma42", "mu14", "mu24")}
+
+
+def random_params(rng, dark=None):
+    """SystemParams with random rates, dipoles, splittings and density.
+
+    Each decay rate and dipole multiplier is zero with probability 1/4;
+    level ``dark`` (2, 3 or 4), if given, is cut off from drive and decay,
+    so its population row is pinned.
+    """
+    def rate(lo, hi):
+        return 0.0 if rng.random() < 0.25 else float(rng.uniform(lo, hi))
+    p = hfs.SystemParams(
+        gamma31=rate(0.2, 2.0), gamma32=rate(0.2, 2.0),
+        gamma41=rate(0.2, 2.0), gamma42=rate(0.2, 2.0),
+        mu13=rate(0.3, 1.5), mu14=rate(0.3, 1.5),
+        mu23=rate(0.3, 1.5), mu24=rate(0.3, 1.5),
+        delta_g=float(rng.uniform(2.0, 60.0)),
+        delta_e=float(rng.uniform(0.5, 20.0)),
+        number_density=float(rng.uniform(0.1, 3.0)) * 1.5e20)
+    return p.replace(**dict.fromkeys(_LEVEL_LINKS.get(dark, ()), 0.0))
+
+
+class TestGrid:
+    """The stacked grid solver against the per-point solver."""
+
+    @pytest.mark.parametrize("ndd", [False, True])
+    def test_matches_pointwise_on_random_params(self, ndd):
+        rng = np.random.default_rng(7 + ndd)
+        for dark in (None, 2, 3, 4) * 4:
+            p = random_params(rng, dark)
+            omega = float(rng.uniform(0.3, 30.0))
+            grid = np.sort(rng.uniform(-3.0, 3.0, 9)) * p.delta_u
+            sol = hfs.solve_grid(p, omega, grid, ndd)
+            for k, dc in enumerate(grid):
+                drive = hfs.Drive(omega=omega, delta_c=dc, ndd_enabled=ndd)
+                try:
+                    ref = hfs.solve_selfconsistent(p, drive)
+                except hfs.SingularSystem:
+                    assert sol.singular[k]
+                    assert np.all(np.isnan(sol.x[k]))
+                    continue
+                assert not sol.singular[k]
+                assert sol.converged[k] == ref.converged
+                assert sol.iterations[k] == ref.iterations
+                assert np.max(np.abs(unpack(sol.x[k]) - ref.rho)) <= 1e-12
+                assert sol.residual[k] == pytest.approx(ref.residual,
+                                                        abs=1e-13)
+
+    def test_max_iters_matches_pointwise(self, params):
+        # a point that spends max_iters leaves the lockstep unconverged
+        opts = hfs.SolveOptions(max_iters=2)
+        grid = np.linspace(-1.0, 1.0, 5) * params.delta_u
+        sol = hfs.solve_grid(params, 5.0, grid, True, opts)
+        assert not np.all(sol.converged)
+        for k, dc in enumerate(grid):
+            ref = hfs.solve_selfconsistent(
+                params, hfs.Drive(omega=5.0, delta_c=dc, ndd_enabled=True),
+                opts)
+            assert sol.converged[k] == ref.converged
+            assert sol.iterations[k] == ref.iterations == 2
+            assert np.max(np.abs(unpack(sol.x[k]) - ref.rho)) <= 1e-12
+
+    def test_stack_assembly_matches_generator(self):
+        from hfs.params import RabiSet
+        from hfs.steady import _detuning_stack, _with_couplings
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = random_params(rng)
+            grid = rng.uniform(-4.0, 4.0, 16) * p.delta_u
+            rabi = rng.normal(scale=10.0, size=(16, 4))
+            stack = _with_couplings(_detuning_stack(p, grid), rabi)
+            for dc, r, a in zip(grid, rabi, stack):
+                drive = hfs.Drive(omega=1.0, delta_c=dc)
+                ref = generator_matrix(p, drive, RabiSet(*r))
+                scale = max(abs(drive.delta(p)), p.delta_g + p.delta_e)
+                assert np.max(np.abs(a - ref)) <= 4 * np.spacing(scale)
+
+    def test_nonfinite_step_falls_back_to_pointwise(self, params,
+                                                    monkeypatch):
+        # the first point's first lockstep step is not finite: that point
+        # alone is solved again by solve_selfconsistent
+        grid = np.linspace(-0.5, 0.5, 7) * params.delta_u
+        newton_step = hfs.steady._newton_step
+        pointwise = hfs.steady.solve_selfconsistent
+        stacked, alone = [], []
+
+        def faulty(x, *args):
+            step = newton_step(x, *args)
+            if x.ndim == 2 and not stacked:
+                step[0] = np.nan
+            stacked.append(x.ndim == 2)
+            return step
+
+        def counted(params, drive, opts=None):
+            alone.append(drive.delta_c)
+            return pointwise(params, drive, opts)
+
+        monkeypatch.setattr(hfs.steady, "_newton_step", faulty)
+        monkeypatch.setattr(hfs.steady, "solve_selfconsistent", counted)
+        sol = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
+        assert alone == [grid[0]]
+        for k, dc in enumerate(grid):
+            ref = pointwise(params, hfs.Drive(omega=5.0, delta_c=dc,
+                                              ndd_enabled=True))
+            assert sol.converged[k] and sol.iterations[k] == ref.iterations
+            assert np.max(np.abs(unpack(sol.x[k]) - ref.rho)) <= 1e-12
+
+    @pytest.mark.parametrize("ndd", [False, True])
+    def test_failed_gate_falls_back_to_pointwise(self, params, monkeypatch,
+                                                 ndd):
+        # the stacked system of the middle point is corrupted, so its
+        # batched solution fails the residual gate of the true generator
+        grid = np.linspace(-0.5, 0.5, 5) * params.delta_u
+        system_rows = hfs.steady._system_rows
+
+        def corrupted(a):
+            m, kept = system_rows(a)
+            if a.ndim == 3 and len(a) == len(grid):
+                m[2, 5, 5] += 1.0
+            return m, kept
+
+        monkeypatch.setattr(hfs.steady, "_system_rows", corrupted)
+        sol = hfs.solve_grid(params, 5.0, grid, ndd)
+        for k, dc in enumerate(grid):
+            ref = hfs.solve_selfconsistent(
+                params, hfs.Drive(omega=5.0, delta_c=dc, ndd_enabled=ndd))
+            assert sol.iterations[k] == ref.iterations
+            assert np.max(np.abs(unpack(sol.x[k]) - ref.rho)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ndd", [False, True])
+    def test_singular_grid_flagged(self, ndd):
+        # without decay every point lacks a unique steady state
+        p = hfs.sodium_d1().replace(gamma31=0.0, gamma32=0.0, gamma41=0.0,
+                                    gamma42=0.0)
+        with pytest.raises(hfs.SingularSystem):
+            hfs.solve_selfconsistent(p, hfs.Drive(omega=2.0,
+                                                  ndd_enabled=ndd))
+        sol = hfs.solve_grid(p, 2.0, np.linspace(-5.0, 5.0, 7), ndd)
+        assert np.all(sol.singular)
+        assert np.all(np.isnan(sol.x)) and np.all(np.isnan(sol.residual))
+        assert not np.any(sol.converged) and not np.any(sol.iterations)
+        table = hfs.run_sweep(p, hfs.SweepSpec.linear(-5.0, 5.0, 7, (2.0,),
+                                                      ndd=ndd))
+        assert not any(r["converged"] for r in table.records)
+        assert all(np.isnan(r["rho11"]) for r in table.records)
 
 
 def test_steady_states_on_random_drives(params):

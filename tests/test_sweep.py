@@ -3,8 +3,8 @@ import pytest
 
 import hfs
 from hfs.model import STATE_COLUMNS, pack
-from hfs.sweep import (COLUMNS, SweepSpec, hashed_path, read_csv, read_json,
-                       run_sweep, summarize, write_csv, write_json)
+from hfs.sweep import (COLUMNS, SweepSpec, read_csv, read_json, run_sweep,
+                       summarize, write_csv, write_json)
 
 
 @pytest.fixture(scope="module")
@@ -56,15 +56,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec.paper_grid(params, count=100)
 
-    def test_digest_stability(self, params):
-        a = SweepSpec.paper_grid(params, count=41, omegas=(5.0,))
-        b = SweepSpec.paper_grid(params, count=41, omegas=(5.0,))
-        c = SweepSpec.paper_grid(params, count=41, omegas=(5.0,), ndd=True)
-        assert a.digest() == b.digest()
-        assert a.digest() != c.digest()
-        assert len(a.digest()) == 12
-        assert hashed_path("out.csv", a) == f"out.{a.digest()}.csv"
-
 
 class TestRunSweep:
 
@@ -98,6 +89,8 @@ class TestRunSweep:
         t = run_sweep(params, spec)
         assert all(r["converged"] for r in t.records)
         assert all(r["ndd"] for r in t.records)
+        # every point starts cold; Newton takes at most four solves
+        assert all(1 < r["iterations"] <= 4 for r in t.records)
 
 
 class TestSerialization:
