@@ -149,7 +149,7 @@ def _cmd_sweep(args) -> int:
     sweep_mod.write_csv(table, args.output)
     if args.json_path:
         sweep_mod.write_json(table, args.json_path)
-    n_ok = sum(1 for r in table.records if r["converged"])
+    n_ok = int(table.column("converged").sum())
     print(f"{len(table)} grid points, {n_ok} converged -> {args.output}")
     return 0
 

@@ -15,10 +15,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import STATE_COLUMNS, unpack
 from .params import Drive, SystemParams, bare_rabi, gamma_set
 from .steady import solve_linear_steady
-from .sweep import SpectrumTable
+from .sweep import COLUMNS, SpectrumTable
 
 _PAIR_MATCH_RTOL = 1e-9
 
@@ -48,25 +47,19 @@ def _report(identity: str, residuals, tol: float, n: int) -> IdentityReport:
                           passed=max_res < tol)
 
 
-def _mirror_pairs(delta_c: np.ndarray) -> list[tuple[int, int]]:
-    """Indices (k_plus, k_minus) pairing each +dc with its -dc partner."""
-    order = np.argsort(delta_c)
+def _mirror_pairs(delta_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (k_plus, k_minus) pairing each +dc with its -dc partner.
+
+    A table's grid ascends, so on a grid symmetric about zero the partner of
+    index k is index N-1-k; any other grid raises GridNotSymmetric.
+    """
     scale = max(float(np.max(np.abs(delta_c))), 1.0)
-    pairs = []
-    for k in np.where(delta_c >= 0)[0]:
-        target = -delta_c[k]
-        pos = np.searchsorted(delta_c[order], target)
-        hit = None
-        for cand in (pos - 1, pos, pos + 1):
-            if 0 <= cand < len(order) and abs(
-                    delta_c[order[cand]] - target) <= _PAIR_MATCH_RTOL * scale:
-                hit = order[cand]
-                break
-        if hit is None:
-            raise GridNotSymmetric(
-                f"no mirror partner for delta_c = {delta_c[k]}")
-        pairs.append((int(k), int(hit)))
-    return pairs
+    off = ~(np.abs(delta_c + delta_c[::-1]) <= _PAIR_MATCH_RTOL * scale)
+    if off.any():
+        raise GridNotSymmetric(
+            f"no mirror partner for delta_c = {delta_c[np.argmax(off)]}")
+    k_plus = np.flatnonzero(delta_c >= 0)
+    return k_plus, delta_c.size - 1 - k_plus
 
 
 def _max_coherence(table: SpectrumTable, omega: float) -> float:
@@ -78,20 +71,17 @@ def _max_coherence(table: SpectrumTable, omega: float) -> float:
 def check_mirror_relations(table: SpectrumTable, omega: float,
                            tol: float = 1e-8) -> IdentityReport:
     """rho42(+dc) = -conj(rho31(-dc)) and rho32(+dc) = -conj(rho41(-dc))."""
-    dc = table.column("delta_c_over_delta_u", omega)
+    kp, km = _mirror_pairs(table.column("delta_c_over_delta_u", omega))
     r31 = table.coherence("31", omega)
     r41 = table.coherence("41", omega)
     r32 = table.coherence("32", omega)
     r42 = table.coherence("42", omega)
-    scale = _max_coherence(table, omega)
-    residuals = []
-    for kp, km in _mirror_pairs(dc):
-        residuals.append(abs(r42[kp] + np.conj(r31[km])))
-        residuals.append(abs(r42[km] + np.conj(r31[kp])))
-        residuals.append(abs(r32[kp] + np.conj(r41[km])))
-        residuals.append(abs(r32[km] + np.conj(r41[kp])))
-    return _report("mirror_relations", np.asarray(residuals) / scale, tol,
-                   len(residuals))
+    residuals = np.abs(np.concatenate([
+        r42[kp] + np.conj(r31[km]), r42[km] + np.conj(r31[kp]),
+        r32[kp] + np.conj(r41[km]), r32[km] + np.conj(r41[kp])]))
+    return _report("mirror_relations",
+                   residuals / _max_coherence(table, omega), tol,
+                   residuals.size)
 
 
 def check_raman_steady(params: SystemParams, drive: Drive, rho: np.ndarray,
@@ -119,27 +109,28 @@ def check_raman_steady(params: SystemParams, drive: Drive, rho: np.ndarray,
 def check_raman_steady_table(params: SystemParams, table: SpectrumTable,
                              omega: float, ndd: bool = False,
                              tol: float = 1e-9) -> IdentityReport:
-    """Raman steady-state relations across every converged grid point."""
-    dc_du = table.column("delta_c_over_delta_u", omega)
+    """Raman steady-state relations across every converged grid point: per
+    point the larger of the two residuals of :func:`check_raman_steady`.
+
+    ``ndd`` does not enter the relations; it names the table's setting.
+    """
     conv = table.column("converged", omega)
-    residuals = []
-    n = 0
-    rhos = _table_rhos(table, omega)
-    for k in range(len(dc_du)):
-        if not conv[k]:
-            continue
-        drive = Drive(omega=omega, delta_c=float(dc_du[k]) * params.delta_u,
-                      ndd_enabled=ndd)
-        rep = check_raman_steady(params, drive, rhos[k], tol)
-        residuals.append(rep.max_residual)
-        n += 1
-    return _report("raman_steady_table", np.asarray(residuals), tol, n)
+    r21, r31, r32, r41, r42, r43 = (table.coherence(lbl, omega)[conv]
+                                    for lbl in ("21", "31", "32", "41",
+                                                "42", "43"))
+    r23, r24, r13 = np.conj(r32), np.conj(r42), np.conj(r31)
+    gs = gamma_set(params, 0.0)   # g21, g43 are detuning-independent
+    om = omega
+    residuals = np.maximum(
+        np.abs(gs.g21 * r21 + 1j * om * (r23 + r24 - r31 - r41)),
+        np.abs(gs.g43 * r43 + 1j * om * (r41 - r13 + r42 - r23)))
+    return _report("raman_steady_table", residuals, tol, residuals.size)
 
 
-def _table_rhos(table: SpectrumTable, omega: float) -> np.ndarray:
-    """(n, 4, 4) density matrices rebuilt from the table's state columns."""
-    x = np.stack([table.column(c, omega) for c in STATE_COLUMNS])
-    return np.moveaxis(unpack(x), -1, 0)
+def _evenness_residuals(table: SpectrumTable, omega: float, kp, km):
+    r21 = table.coherence("21", omega)
+    r43 = table.coherence("43", omega)
+    return [r21[kp] - r21[km], r43[kp] - r43[km]]
 
 
 def check_raman_symmetric_form(params: SystemParams, table: SpectrumTable,
@@ -147,40 +138,34 @@ def check_raman_symmetric_form(params: SystemParams, table: SpectrumTable,
                                tol: float = 1e-8) -> IdentityReport:
     """Symmetric-combination form of the Raman relations plus evenness of
     the Raman coherence spectra about zero detuning."""
-    dc = table.column("delta_c_over_delta_u", omega)
+    kp, km = _mirror_pairs(table.column("delta_c_over_delta_u", omega))
     r21 = table.coherence("21", omega)
     r43 = table.coherence("43", omega)
     r31 = table.coherence("31", omega)
     r41 = table.coherence("41", omega)
     gs = gamma_set(params, 0.0)   # g21, g43 are detuning-independent
     om = omega
-    scale = _max_coherence(table, omega)
-    residuals = []
-    for kp, km in _mirror_pairs(dc):
-        r31s = r31[kp] + r31[km]
-        r41s = r41[kp] + r41[km]
-        r31cs = np.conj(r31[kp]) + np.conj(r31[km])
-        residuals.append(abs(gs.g21 * r21[kp] - 1j * om * (r31s + r41s)))
-        residuals.append(abs(gs.g43 * r43[kp] - 1j * om * (r31cs - r41s)))
-        residuals.append(abs(r21[kp] - r21[km]))
-        residuals.append(abs(r43[kp] - r43[km]))
-    return _report("raman_symmetric_form", np.asarray(residuals) / scale,
-                   tol, len(residuals))
+    r31s = r31[kp] + r31[km]
+    r41s = r41[kp] + r41[km]
+    r31cs = np.conj(r31[kp]) + np.conj(r31[km])
+    residuals = np.abs(np.concatenate([
+        gs.g21 * r21[kp] - 1j * om * (r31s + r41s),
+        gs.g43 * r43[kp] - 1j * om * (r31cs - r41s),
+        *_evenness_residuals(table, omega, kp, km)]))
+    return _report("raman_symmetric_form",
+                   residuals / _max_coherence(table, omega), tol,
+                   residuals.size)
 
 
 def check_evenness(table: SpectrumTable, omega: float,
                    tol: float = 1e-8) -> IdentityReport:
     """Raman coherence spectra are even functions of the detuning."""
-    dc = table.column("delta_c_over_delta_u", omega)
-    r21 = table.coherence("21", omega)
-    r43 = table.coherence("43", omega)
-    scale = _max_coherence(table, omega)
-    residuals = []
-    for kp, km in _mirror_pairs(dc):
-        residuals.append(abs(r21[kp] - r21[km]))
-        residuals.append(abs(r43[kp] - r43[km]))
-    return _report("raman_evenness", np.asarray(residuals) / scale, tol,
-                   len(residuals))
+    kp, km = _mirror_pairs(table.column("delta_c_over_delta_u", omega))
+    residuals = np.abs(np.concatenate(
+        _evenness_residuals(table, omega, kp, km)))
+    return _report("raman_evenness",
+                   residuals / _max_coherence(table, omega), tol,
+                   residuals.size)
 
 
 def two_level_steady(omega: float, delta: float,
@@ -223,10 +208,10 @@ def two_level_oracle_check(omegas, deltas, tol: float = 1e-9) -> IdentityReport:
 
 def corrupt_coherence(table: SpectrumTable, label: str, index: int) -> SpectrumTable:
     """Detector-sanity helper: negate one coherence at one grid point."""
-    records = [dict(r) for r in table.records]
-    records[index][f"re_rho{label}"] *= -1.0
-    records[index][f"im_rho{label}"] *= -1.0
-    return SpectrumTable(records=records)
+    cols = {c: table.column(c).copy() for c in COLUMNS}
+    cols[f"re_rho{label}"][index] *= -1.0
+    cols[f"im_rho{label}"][index] *= -1.0
+    return SpectrumTable(cols)
 
 
 def write_report_json(reports, path) -> None:

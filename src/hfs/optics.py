@@ -40,17 +40,18 @@ class InsufficientPoints(Exception):
 @dataclass(frozen=True)
 class Susceptibility:
     transition: str
-    chi_re: float
-    chi_im: float
+    chi_re: float | np.ndarray
+    chi_im: float | np.ndarray
 
     @property
-    def chi(self) -> complex:
+    def chi(self) -> complex | np.ndarray:
         return self.chi_re + 1j * self.chi_im
 
 
 def susceptibility(params: SystemParams, drive: Drive, rho: np.ndarray,
                    transition: str) -> Susceptibility:
-    """Dimensionless chi for one optical coherence at the given drive."""
+    """Dimensionless chi for one optical coherence at the given drive, of
+    one (4, 4) state or of each state of a (4, 4, K) stack."""
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}")
     if drive.omega == 0.0:
@@ -59,12 +60,23 @@ def susceptibility(params: SystemParams, drive: Drive, rho: np.ndarray,
     eps = drive.epsilon_for(params)[pair]
     chi = -(3.0 * eps / (2.0 * drive.omega)) * rho[i, j]
     return Susceptibility(transition=transition,
-                          chi_re=float(chi.real), chi_im=float(chi.imag))
+                          chi_re=chi.real, chi_im=chi.imag)
 
 
-def refractive_index(chi: complex) -> float:
-    """Principal-branch n = Re sqrt(1 + chi)."""
-    return float(np.sqrt(1.0 + complex(chi)).real)
+def refractive_index(chi):
+    """Principal-branch n = Re sqrt(1 + chi), elementwise."""
+    return np.sqrt(1.0 + np.asarray(chi, dtype=complex)).real
+
+
+def _slope(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dy/dx by ``np.gradient`` over the points where y is finite, so the
+    neighbours of a non-finite point (a flagged sweep row) are differenced
+    across the gap.  NaN at that point, and everywhere if < 2 are finite."""
+    ok = np.isfinite(y)
+    out = np.full(y.shape, np.nan)
+    if np.count_nonzero(ok) >= 2:
+        out[ok] = np.gradient(y[ok], x[ok])
+    return out
 
 
 def group_index_profile(delta_c: np.ndarray, n: np.ndarray,
@@ -73,7 +85,8 @@ def group_index_profile(delta_c: np.ndarray, n: np.ndarray,
 
     ``delta_c`` is in gamma units; the derivative is taken against absolute
     angular frequency via ``gamma_ref``.  Central differences at interior
-    points, one-sided at the ends.  Returns (n_g, nonuniform_mask) where the
+    points, one-sided at the ends; points with non-finite n are skipped
+    (see ``_slope``) and get NaN.  Returns (n_g, nonuniform_mask) where the
     mask flags interior points with unequal neighbour spacing.
     """
     delta_c = np.asarray(delta_c, dtype=float)
@@ -83,44 +96,30 @@ def group_index_profile(delta_c: np.ndarray, n: np.ndarray,
     if np.any(np.diff(delta_c) <= 0):
         raise ValueError("grid must be strictly increasing")
     omega_abs = delta_c * params.gamma_ref     # offset from carrier, rad/s
-    dn_domega = np.gradient(n, omega_abs)
-    ng = n + params.omega0 * dn_domega
+    ng = n + params.omega0 * _slope(n, omega_abs)
     h = np.diff(delta_c)
     nonuniform = np.zeros(delta_c.size, dtype=bool)
     nonuniform[1:-1] = ~np.isclose(h[:-1], h[1:], rtol=1e-9, atol=0.0)
     return ng, nonuniform
 
 
-def dispersion_classes(delta_c: np.ndarray, n: np.ndarray) -> list[str]:
-    """Per-point normal/anomalous labels from the finite-difference slope."""
-    slope = np.gradient(np.asarray(n, dtype=float),
-                        np.asarray(delta_c, dtype=float))
-    return [NORMAL if s > 0 else ANOMALOUS for s in slope]
+def classify(delta_c: np.ndarray, n: np.ndarray,
+             chi_im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point (dispersion, line) labels, object arrays of str: normal
+    where the slope dn/d(delta_c) (see ``_slope``) is positive, absorption
+    where chi_im >= 0.  A label is blank where its input is not finite."""
+    slope = _slope(np.asarray(n, dtype=float),
+                   np.asarray(delta_c, dtype=float))
+    chi_im = np.asarray(chi_im, dtype=float)
+    disp = np.where(slope > 0, NORMAL, ANOMALOUS).astype(object)
+    disp[np.isnan(slope)] = ""
+    line = np.where(chi_im >= 0, ABSORPTION, GAIN).astype(object)
+    line[~np.isfinite(chi_im)] = ""
+    return disp, line
 
 
-def line_classes(chi_im: np.ndarray) -> list[str]:
-    return [ABSORPTION if v >= 0 else GAIN for v in np.asarray(chi_im)]
-
-
-@dataclass(frozen=True)
-class DispersionPoint:
-    delta_c: float
-    n: float
-    ng: float
-    dispersion_class: str
-    line_class: str
-
-
-def classify(delta_c: np.ndarray, n: np.ndarray, ng: np.ndarray,
-             chi_im: np.ndarray) -> list[DispersionPoint]:
-    disp = dispersion_classes(delta_c, n)
-    line = line_classes(chi_im)
-    return [DispersionPoint(delta_c=float(d), n=float(nv), ng=float(g),
-                            dispersion_class=dc, line_class=lc)
-            for d, nv, g, dc, lc in zip(delta_c, n, ng, disp, line)]
-
-
-def population_transfer(rho: np.ndarray) -> tuple[float, float]:
-    """Ground and excited hyperfine imbalances (rho22-rho11, rho44-rho33)."""
-    return (float(rho[1, 1].real - rho[0, 0].real),
-            float(rho[3, 3].real - rho[2, 2].real))
+def population_transfer(rho: np.ndarray):
+    """Ground and excited hyperfine imbalances (rho22-rho11, rho44-rho33)
+    of one (4, 4) state or of each state of a (4, 4, K) stack."""
+    return (rho[1, 1].real - rho[0, 0].real,
+            rho[3, 3].real - rho[2, 2].real)

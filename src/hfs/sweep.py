@@ -3,7 +3,9 @@
 Each intensity is solved as one stack over the whole detuning axis by
 :func:`hfs.steady.solve_grid`; every point starts cold, so the points (and
 the intensities) are independent of each other.  Points without a unique
-steady state are kept in the table, flagged, never interpolated.
+steady state are kept in the table, flagged (NaN values, blank labels),
+never interpolated, and left out of their neighbours' differences.  Tables
+are columnar, and the optics, writers and readers work on whole columns.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ COLUMNS = (
        "converged", "iterations", "residual"]
 )
 
-_STR_COLUMNS = {"dispersion_class_31", "line_class_31",
-                "dispersion_class_41", "line_class_41"}
-_BOOL_COLUMNS = {"ndd", "converged"}
-_INT_COLUMNS = {"iterations"}
+_DTYPES = {**dict.fromkeys(COLUMNS, float), "ndd": bool, "converged": bool,
+           "iterations": np.int64,
+           **dict.fromkeys(["dispersion_class_31", "line_class_31",
+                            "dispersion_class_41", "line_class_41"], object)}
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class SweepSpec:
         if len(self.omegas) < 1 or not all(0 < w < np.inf
                                            for w in self.omegas):
             raise ValueError("omega list must contain positive finite values")
+        if len(set(self.omegas)) != len(self.omegas):
+            raise ValueError("omega list must not repeat a value")
         if self.symmetric_grid and np.max(np.abs(grid + grid[::-1])) != 0.0:
             raise ValueError("symmetric_grid set but grid is not mirror-"
                              "symmetric about 0")
@@ -86,29 +90,38 @@ class SweepSpec:
                    options=options or SolveOptions(), symmetric_grid=True)
 
 
-@dataclass
 class SpectrumTable:
-    """Ordered sweep records; one dict per grid point, keys = COLUMNS."""
+    """Sweep results in (omega, delta_c) row order, one array per column.
 
-    records: list[dict]
+    ``columns`` maps each name in COLUMNS to one value per grid point, of
+    the column's type in ``_DTYPES`` (labels are str in object arrays).
+    Each omega's rows are one block, so ``column(name, omega)`` is a slice.
+    The table makes the arrays read-only; copy a column to change it.
+    """
+
+    def __init__(self, columns: dict):
+        self._columns = {}
+        for c in COLUMNS:
+            self._columns[c] = np.asarray(columns[c], dtype=_DTYPES[c])
+            self._columns[c].flags.writeable = False
+        om = self._columns["omega_over_gamma"]
+        starts = np.flatnonzero(np.r_[True, om[1:] != om[:-1]][:om.size])
+        self._blocks = {float(om[a]): slice(a, b) for a, b in
+                        zip(starts.tolist(), [*starts[1:].tolist(), om.size])}
+        if len(self._blocks) != len(starts):
+            raise ValueError("the rows of each omega must be contiguous")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._columns["omega_over_gamma"].size
 
     def column(self, name: str, omega: float | None = None) -> np.ndarray:
-        recs = self.records if omega is None else \
-            [r for r in self.records if r["omega_over_gamma"] == omega]
-        vals = [r[name] for r in recs]
-        if name in _STR_COLUMNS:
-            return np.asarray(vals, dtype=object)
-        return np.asarray(vals)
+        col = self._columns[name]
+        if omega is None:
+            return col
+        return col[self._blocks.get(omega, slice(0, 0))]
 
     def omegas(self) -> list[float]:
-        seen = []
-        for r in self.records:
-            if r["omega_over_gamma"] not in seen:
-                seen.append(r["omega_over_gamma"])
-        return seen
+        return list(self._blocks)
 
     def coherence(self, label: str, omega: float | None = None) -> np.ndarray:
         return (self.column(f"re_rho{label}", omega)
@@ -116,103 +129,95 @@ class SpectrumTable:
 
 
 def _solve_one_intensity(params: SystemParams, spec: SweepSpec,
-                         omega: float) -> list[dict]:
-    delta_u = params.delta_u
+                         omega: float) -> dict:
+    """The columns of one intensity's rows, in delta_c order."""
+    grid = np.asarray(spec.delta_c, dtype=float)
     sol = solve_grid(params, omega, spec.delta_c, spec.ndd, spec.options)
     rhos = unpack(sol.x.T)
     # the susceptibility depends on the drive's strength, not its detuning
     drive = Drive(omega=omega, ndd_enabled=spec.ndd)
-    records = []
-    chis = {"31": [], "41": []}
-    for k, dc in enumerate(spec.delta_c):
-        rec = {"delta_c_over_delta_u": dc / delta_u,
-               "omega_over_gamma": omega, "ndd": spec.ndd}
-        if sol.singular[k]:
-            for c in COLUMNS[3:]:
-                if c in _STR_COLUMNS:
-                    rec[c] = ""
-                elif c in _BOOL_COLUMNS:
-                    rec[c] = False
-                elif c in _INT_COLUMNS:
-                    rec[c] = 0
-                else:
-                    rec[c] = float("nan")
-            for tr in ("31", "41"):
-                chis[tr].append(complex("nan"))
-        else:
-            rho = rhos[..., k]
-            rec.update(zip(STATE_COLUMNS, sol.x[k].tolist()))
-            wg, we = optics.population_transfer(rho)
-            rec["w_g"], rec["w_e"] = wg, we
-            for tr in ("31", "41"):
-                s = optics.susceptibility(params, drive, rho, tr)
-                rec[f"chi{tr}_re"], rec[f"chi{tr}_im"] = s.chi_re, s.chi_im
-                chis[tr].append(s.chi)
-            rec["converged"] = bool(sol.converged[k])
-            rec["iterations"] = int(sol.iterations[k])
-            rec["residual"] = float(sol.residual[k])
-        records.append(rec)
-
-    grid = np.asarray(spec.delta_c, dtype=float)
+    cols = {"delta_c_over_delta_u": grid / params.delta_u,
+            "omega_over_gamma": np.full(grid.size, float(omega)),
+            "ndd": np.full(grid.size, spec.ndd),
+            **dict(zip(STATE_COLUMNS, np.ascontiguousarray(sol.x.T))),
+            "converged": sol.converged, "iterations": sol.iterations,
+            "residual": sol.residual}
+    cols["w_g"], cols["w_e"] = optics.population_transfer(rhos)
     for tr in ("31", "41"):
-        chi = np.asarray(chis[tr])
-        n = np.array([optics.refractive_index(c) for c in chi])
-        ng, _ = optics.group_index_profile(grid, n, params)
-        points = optics.classify(grid, n, ng, chi.imag)
-        for rec, nv, p in zip(records, n, points):
-            rec[f"n{tr}"] = float(nv)
-            rec[f"ng{tr}"] = float(p.ng)
-            rec[f"dispersion_class_{tr}"] = p.dispersion_class
-            rec[f"line_class_{tr}"] = p.line_class
-    return records
+        s = optics.susceptibility(params, drive, rhos, tr)
+        n = optics.refractive_index(s.chi)
+        cols[f"chi{tr}_re"], cols[f"chi{tr}_im"] = s.chi_re, s.chi_im
+        cols[f"n{tr}"] = n
+        cols[f"ng{tr}"], _ = optics.group_index_profile(grid, n, params)
+        cols[f"dispersion_class_{tr}"], cols[f"line_class_{tr}"] = \
+            optics.classify(grid, n, s.chi_im)
+    return cols
 
 
 def run_sweep(params: SystemParams, spec: SweepSpec) -> SpectrumTable:
     """Solve the full grid in (omega, delta_c) order."""
-    records = []
-    for omega in spec.omegas:
-        records.extend(_solve_one_intensity(params, spec, omega))
-    return SpectrumTable(records=records)
+    blocks = [_solve_one_intensity(params, spec, omega)
+              for omega in spec.omegas]
+    return SpectrumTable({c: np.concatenate([b[c] for b in blocks])
+                          for c in COLUMNS})
 
 
-def _format(value, col: str) -> str:
-    if col in _STR_COLUMNS:
-        return str(value)
-    if col in _BOOL_COLUMNS:
-        return "true" if value else "false"
-    if col in _INT_COLUMNS:
-        return str(int(value))
-    return f"{float(value):.17g}"
+def _cells(table: SpectrumTable, floats, labels) -> tuple:
+    """Every cell in row-major order: floats through ``floats`` (column to
+    list), labels through ``labels`` (str to text), bools as true/false."""
+    ncol = len(COLUMNS)
+    flat = [None] * (len(table) * ncol)
+    for j, c in enumerate(COLUMNS):
+        col = table.column(c)
+        if _DTYPES[c] is object:
+            text = {v: labels(v) for v in set(col.tolist())}
+            flat[j::ncol] = [text[v] for v in col.tolist()]
+        elif _DTYPES[c] is bool:
+            flat[j::ncol] = np.where(col, "true", "false").tolist()
+        else:
+            flat[j::ncol] = floats(col) if _DTYPES[c] is float \
+                else col.tolist()
+    return tuple(flat)
 
 
 def write_csv(table: SpectrumTable, path) -> None:
+    """One header line, then one row per grid point: floats as ``%.17g``
+    (round-trips exactly), bools as true/false, labels verbatim."""
+    row = ",".join("%.17g" if _DTYPES[c] is float else "%s"
+                   for c in COLUMNS) + "\n"
+    text = row * len(table) % _cells(table, np.ndarray.tolist, str)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(COLUMNS) + "\n")
-            for rec in table.records:
-                fh.write(",".join(_format(rec[c], c) for c in COLUMNS) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"failed writing sweep CSV to {path}: {exc}") from exc
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(col: np.ndarray) -> list:
+    """Python floats (``%s`` gives their repr, as ``json.dump`` does), and
+    the text ``json.dump`` writes for NaN and the infinities."""
+    vals = col.tolist()
+    for k in np.flatnonzero(~np.isfinite(col)).tolist():
+        vals[k] = _JSON_NONFINITE[repr(vals[k])]
+    return vals
+
+
 def write_json(table: SpectrumTable, path) -> None:
+    """A list of one object per grid point, keys in COLUMNS order: the
+    bytes ``json.dump(rows, fh, indent=1)`` writes, plus a newline."""
+    row = " {\n" + ",\n".join(f"  {json.dumps(c)}: %s"
+                               for c in COLUMNS) + "\n }"
+    body = ",\n".join([row] * len(table)) \
+        % _cells(table, _json_floats, json.dumps)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump([{c: rec[c] for c in COLUMNS}
-                       for rec in table.records], fh, indent=1)
-            fh.write("\n")
+            fh.write(f"[\n{body}\n]\n" if len(table) else "[]\n")
     except OSError as exc:
         raise OSError(f"failed writing sweep JSON to {path}: {exc}") from exc
-
-
-def _parse(text: str, col: str):
-    if col in _STR_COLUMNS:
-        return text
-    if col in _BOOL_COLUMNS:
-        return text == "true"
-    if col in _INT_COLUMNS:
-        return int(text)
-    return float(text)
 
 
 def read_csv(path) -> SpectrumTable:
@@ -220,61 +225,62 @@ def read_csv(path) -> SpectrumTable:
         header = fh.readline().rstrip("\n").split(",")
         if header != list(COLUMNS):
             raise ValueError(f"unexpected CSV header in {path}")
-        records = []
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            records.append({c: _parse(v, c) for c, v in zip(COLUMNS, cells)})
-    return SpectrumTable(records=records)
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    if any(len(r) != len(COLUMNS) for r in rows):
+        raise ValueError(f"CSV row with a wrong number of cells in {path}")
+    cols = dict(zip(COLUMNS, zip(*rows) if rows else [()] * len(COLUMNS)))
+    for c in ("ndd", "converged"):
+        cols[c] = [v == "true" for v in cols[c]]
+    return SpectrumTable(cols)
 
 
 def read_json(path) -> SpectrumTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return SpectrumTable(records=json.load(fh))
+        rows = json.load(fh)
+    return SpectrumTable({c: [r[c] for r in rows] for c in COLUMNS})
 
 
 def _gain_intervals(delta_c_du: np.ndarray, line: np.ndarray) -> list:
-    intervals = []
-    start = None
-    for k, cls in enumerate(line):
-        if cls == optics.GAIN and start is None:
-            start = delta_c_du[k]
-        elif cls != optics.GAIN and start is not None:
-            intervals.append((float(start), float(delta_c_du[k - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(delta_c_du[-1])))
-    return intervals
+    """(first, last) detuning of each run of gain labels."""
+    edges = np.flatnonzero(np.diff(np.r_[False, line == optics.GAIN, False]))
+    return [(float(delta_c_du[a]), float(delta_c_du[b - 1]))
+            for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]
+
+
+def _extremum(pick, vals: np.ndarray, dc: np.ndarray, key: str = "value"):
+    """{key: vals[k], "delta_c_over_delta_u": dc[k]} at k = pick(vals),
+    or None when every value is NaN (an intensity of flagged rows)."""
+    if np.isnan(vals).all():
+        return None
+    k = int(pick(vals))
+    return {key: float(vals[k]), "delta_c_over_delta_u": float(dc[k])}
 
 
 def summarize(table: SpectrumTable) -> dict:
     """Extrema report per intensity: population-transfer peaks, gain
-    intervals and steepest-dispersion locations for transitions 31 and 41."""
+    intervals and steepest-dispersion locations for transitions 31 and 41,
+    in builtin Python types.  Flagged rows are skipped: an extremum that
+    has no row left is None."""
     out = {}
     for omega in table.omegas():
         dc = table.column("delta_c_over_delta_u", omega)
         entry = {}
         for name in ("w_g", "w_e"):
             vals = table.column(name, omega)
-            imax, imin = int(np.nanargmax(vals)), int(np.nanargmin(vals))
-            entry[f"{name}_max"] = {"value": float(vals[imax]),
-                                    "delta_c_over_delta_u": float(dc[imax])}
-            entry[f"{name}_min"] = {"value": float(vals[imin]),
-                                    "delta_c_over_delta_u": float(dc[imin])}
+            entry[f"{name}_max"] = _extremum(np.nanargmax, vals, dc)
+            entry[f"{name}_min"] = _extremum(np.nanargmin, vals, dc)
         for tr in ("31", "41"):
-            line = table.column(f"line_class_{tr}", omega)
             chi_im = table.column(f"chi{tr}_im", omega)
-            chi_re = table.column(f"chi{tr}_re", omega)
-            slope = np.gradient(chi_re, dc)
-            k_steep = int(np.nanargmax(np.abs(slope)))
-            k_absmax = int(np.nanargmax(chi_im))
-            k_gainmax = int(np.nanargmin(chi_im))
+            slope = np.gradient(table.column(f"chi{tr}_re", omega), dc)
+            steep = _extremum(np.nanargmax, np.abs(slope), dc)
             entry[f"transition_{tr}"] = {
-                "gain_intervals": _gain_intervals(dc, line),
-                "absorption_peak": {"chi_im": float(chi_im[k_absmax]),
-                                    "delta_c_over_delta_u": float(dc[k_absmax])},
-                "gain_peak": {"chi_im": float(chi_im[k_gainmax]),
-                              "delta_c_over_delta_u": float(dc[k_gainmax])},
-                "steepest_dispersion_delta_c_over_delta_u": float(dc[k_steep]),
+                "gain_intervals": _gain_intervals(
+                    dc, table.column(f"line_class_{tr}", omega)),
+                "absorption_peak": _extremum(np.nanargmax, chi_im, dc,
+                                             "chi_im"),
+                "gain_peak": _extremum(np.nanargmin, chi_im, dc, "chi_im"),
+                "steepest_dispersion_delta_c_over_delta_u":
+                    None if steep is None else steep["delta_c_over_delta_u"],
             }
         out[omega] = entry
     return out

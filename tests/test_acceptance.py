@@ -32,7 +32,7 @@ def spec(params):
 @pytest.fixture(scope="module")
 def table(params, spec):
     t = run_sweep(params, spec)
-    assert all(r["converged"] for r in t.records)
+    assert t.column("converged").all()
     return t
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hfs.cli import _build_parser, run_cli
@@ -103,8 +104,13 @@ class TestSweep:
                         "--output", str(csv_path), "--json", str(json_path)])
         assert code == 0
         assert "42 grid points, 42 converged" in capsys.readouterr().out
-        from hfs.sweep import read_csv, read_json
-        assert read_csv(csv_path).records == read_json(json_path).records
+        from hfs.sweep import COLUMNS, read_csv, read_json
+        a, b = read_csv(csv_path), read_json(json_path)
+        assert len(a) == len(b) == 42
+        for c in COLUMNS:
+            x, y = a.column(c), b.column(c)
+            assert x.dtype == y.dtype, c
+            assert np.array_equal(x, y, equal_nan=x.dtype == float), c
 
     def test_config_error_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -124,3 +124,75 @@ def test_report_serialization(tmp_path, params):
     assert data[0]["identity"] == "raman_steady"
     assert data[0]["pass"] is True
     assert "passed" not in data[0]
+
+
+# The record-at-a-time table checks the vectorised ones replaced, kept as
+# oracles: pairs found by searching the grid, one residual at a time.
+def _pairs_by_search(dc):
+    pairs = []
+    for k in np.flatnonzero(dc >= 0):
+        hit = np.flatnonzero(np.abs(dc + dc[k]) <= 1e-9 * max(
+            np.max(np.abs(dc)), 1.0))
+        assert hit.size == 1
+        pairs.append((k, hit[0]))
+    return pairs
+
+
+def _loop_residuals(params, table, omega):
+    """identity -> (residuals, normalised) as the loops computed them."""
+    dc = table.column("delta_c_over_delta_u", omega)
+    r = {lbl: table.coherence(lbl, omega)
+         for lbl in ("21", "31", "32", "41", "42", "43")}
+    scale = max(max(np.max(np.abs(v)) for v in r.values()), 1e-300)
+    gs = hfs.params.gamma_set(params, 0.0)
+    out = {"mirror_relations": [], "raman_evenness": [],
+           "raman_symmetric_form": [], "raman_steady_table": []}
+    for kp, km in _pairs_by_search(dc):
+        out["mirror_relations"] += [
+            abs(r["42"][kp] + np.conj(r["31"][km])),
+            abs(r["42"][km] + np.conj(r["31"][kp])),
+            abs(r["32"][kp] + np.conj(r["41"][km])),
+            abs(r["32"][km] + np.conj(r["41"][kp]))]
+        even = [abs(r["21"][kp] - r["21"][km]), abs(r["43"][kp] - r["43"][km])]
+        out["raman_evenness"] += even
+        r31s = r["31"][kp] + r["31"][km]
+        r41s = r["41"][kp] + r["41"][km]
+        r31cs = np.conj(r["31"][kp]) + np.conj(r["31"][km])
+        out["raman_symmetric_form"] += [
+            abs(gs.g21 * r["21"][kp] - 1j * omega * (r31s + r41s)),
+            abs(gs.g43 * r["43"][kp] - 1j * omega * (r31cs - r41s)), *even]
+    x = np.stack([table.column(c, omega) for c in hfs.model.STATE_COLUMNS])
+    rhos = hfs.model.unpack(x)
+    for k in np.flatnonzero(table.column("converged", omega)):
+        drive = hfs.Drive(omega=omega, delta_c=dc[k] * params.delta_u)
+        out["raman_steady_table"].append(
+            check_raman_steady(params, drive, rhos[..., k]).max_residual)
+    return {name: (np.asarray(v) / (1.0 if name == "raman_steady_table"
+                                    else scale))
+            for name, v in out.items()}
+
+
+@pytest.mark.parametrize("omega", [0.5, 20.0])
+def test_table_checks_match_loop_oracle(omega):
+    # the same residual count, and the same largest residual up to the
+    # rounding of the vectorised products: 4 ulp of the largest term, which
+    # is 2 for the mirror and evenness differences of normalised
+    # coherences and (|g21| + |g43| + 8 omega) * max|rho| (max|rho| <= 1)
+    # for the Raman relations
+    params = hfs.sodium_d1_cyclic_splittings()
+    spec = SweepSpec.paper_grid(params, count=101, span_delta_u=5.0,
+                                omegas=(omega,))
+    table = run_sweep(params, spec)
+    gs = hfs.params.gamma_set(params, 0.0)
+    raman_terms = abs(gs.g21) + abs(gs.g43) + 8.0 * omega
+    eps = np.finfo(float).eps
+    ref = _loop_residuals(params, table, omega)
+    for rep, terms in (
+            (check_mirror_relations(table, omega), 2.0),
+            (check_evenness(table, omega), 2.0),
+            (check_raman_symmetric_form(params, table, omega), raman_terms),
+            (check_raman_steady_table(params, table, omega), raman_terms)):
+        res = ref[rep.identity]
+        assert rep.n_points == res.size, rep.identity
+        assert abs(rep.max_residual - np.max(res)) <= 4 * eps * terms, \
+            rep.identity

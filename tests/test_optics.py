@@ -3,8 +3,7 @@ import pytest
 
 import hfs
 from hfs.optics import (ABSORPTION, ANOMALOUS, GAIN, NORMAL,
-                        InsufficientPoints, ZeroField, classify,
-                        dispersion_classes, line_classes)
+                        InsufficientPoints, ZeroField, classify)
 
 
 @pytest.fixture
@@ -25,6 +24,20 @@ class TestSusceptibility:
         assert s.chi_re == pytest.approx(pref * 0.01, rel=1e-12)
         assert s.chi_im == pytest.approx(pref * -0.03, rel=1e-12)
         assert s.chi == complex(s.chi_re, s.chi_im)
+
+    def test_stack_matches_single_states(self, params):
+        # one (4, 4, K) stack gives, per state, what each state gives alone
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(4, 4, 5)) + 1j * rng.normal(size=(4, 4, 5))
+        stack = m + np.conj(np.swapaxes(m, 0, 1))
+        drive = hfs.Drive(omega=2.0)
+        for tr in ("31", "41", "32", "42"):
+            s = hfs.susceptibility(params, drive, stack, tr)
+            assert s.chi_re.shape == s.chi_im.shape == (5,)
+            for k in range(5):
+                one = hfs.susceptibility(params, drive, stack[..., k], tr)
+                assert (s.chi_re[k], s.chi_im[k]) == (one.chi_re,
+                                                      one.chi_im)
 
     def test_resonant_two_level_absorbs(self):
         # driven on resonance the two-level reduction must show chi_im > 0
@@ -60,6 +73,13 @@ class TestRefractiveIndex:
         # 1 + chi on the negative real axis: n = 0, not a sign flip
         assert hfs.refractive_index(-2.0) == 0.0
 
+    def test_array_elementwise(self):
+        chi = np.array([0.0, -2.0, 1e-6 + 2e-6j, np.nan])
+        n = hfs.refractive_index(chi)
+        assert n.dtype == float and n.shape == (4,)
+        assert n[:3].tolist() == [hfs.refractive_index(c) for c in chi[:3]]
+        assert np.isnan(n[3])
+
 
 class TestGroupIndex:
 
@@ -94,22 +114,50 @@ class TestClassification:
     def test_dispersion_labels(self):
         dc = np.linspace(-1, 1, 5)
         rising = 1.0 + 0.1 * dc
-        assert dispersion_classes(dc, rising) == [NORMAL] * 5
-        assert dispersion_classes(dc, -rising) == [ANOMALOUS] * 5
+        assert classify(dc, rising, np.zeros(5))[0].tolist() == [NORMAL] * 5
+        assert classify(dc, -rising, np.zeros(5))[0].tolist() == \
+            [ANOMALOUS] * 5
 
     def test_line_labels(self):
-        assert line_classes(np.array([0.5, 0.0, -0.5])) == [
-            ABSORPTION, ABSORPTION, GAIN]
+        _, line = classify(np.linspace(-1, 1, 3), np.ones(3),
+                           np.array([0.5, 0.0, -0.5]))
+        assert line.tolist() == [ABSORPTION, ABSORPTION, GAIN]
 
     def test_classify_bundles(self, params):
         dc = np.linspace(-1, 1, 5)
         n = 1.0 + 0.1 * dc
-        ng, _ = hfs.group_index_profile(dc, n, params)
-        pts = classify(dc, n, ng, np.full(5, -0.1))
-        assert len(pts) == 5
-        assert all(p.dispersion_class == NORMAL for p in pts)
-        assert all(p.line_class == GAIN for p in pts)
-        assert pts[0].delta_c == -1.0
+        disp, line = classify(dc, n, np.full(5, -0.1))
+        assert disp.dtype == object and line.dtype == object
+        assert disp.shape == line.shape == (5,)
+        assert all(type(v) is str for v in [*disp, *line])
+        assert disp.tolist() == [NORMAL] * 5
+        assert line.tolist() == [GAIN] * 5
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_flagged_point_masked(self, params, k):
+        # a NaN point gets blank labels and NaN n_g; its neighbours are
+        # labelled and differenced as if the point were not on the grid
+        dc = np.linspace(-1.0, 1.0, 7)
+        n = 1.0 + 1e-6 * np.sin(3.0 * dc)
+        chi_im = np.cos(3.0 * dc)
+        n_bad, chi_bad = n.copy(), chi_im.copy()
+        n_bad[k] = chi_bad[k] = np.nan
+        disp, line = classify(dc, n_bad, chi_bad)
+        ng, _ = hfs.group_index_profile(dc, n_bad, params)
+        keep = np.arange(7) != k
+        assert disp[k] == line[k] == "" and np.isnan(ng[k])
+        ref_disp, ref_line = classify(dc[keep], n[keep], chi_im[keep])
+        assert disp[keep].tolist() == ref_disp.tolist()
+        assert line[keep].tolist() == ref_line.tolist()
+        ref_ng, _ = hfs.group_index_profile(dc[keep], n[keep], params)
+        assert np.array_equal(ng[keep], ref_ng)
+
+    def test_all_points_flagged(self, params):
+        nan = np.full(4, np.nan)
+        disp, line = classify(np.arange(4.0), nan, nan)
+        assert disp.tolist() == line.tolist() == [""] * 4
+        assert np.isnan(hfs.group_index_profile(np.arange(4.0), nan,
+                                                params)[0]).all()
 
 
 def test_population_transfer():
@@ -117,3 +165,6 @@ def test_population_transfer():
     wg, we = hfs.population_transfer(rho)
     assert wg == pytest.approx(0.5)
     assert we == pytest.approx(0.2)
+    stack = np.stack([rho, np.diag([0.7, 0.1, 0.2, 0.0])], axis=-1)
+    wg, we = hfs.population_transfer(stack)
+    assert np.allclose(wg, [0.5, -0.6]) and np.allclose(we, [0.2, -0.2])

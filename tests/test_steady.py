@@ -353,8 +353,14 @@ class TestGrid:
         assert not np.any(sol.converged) and not np.any(sol.iterations)
         table = hfs.run_sweep(p, hfs.SweepSpec.linear(-5.0, 5.0, 7, (2.0,),
                                                       ndd=ndd))
-        assert not any(r["converged"] for r in table.records)
-        assert all(np.isnan(r["rho11"]) for r in table.records)
+        assert not table.column("converged").any()
+        assert np.isnan(table.column("rho11")).all()
+        # flagged rows keep blank labels and NaN optics
+        for tr in ("31", "41"):
+            assert (table.column(f"dispersion_class_{tr}") == "").all()
+            assert (table.column(f"line_class_{tr}") == "").all()
+            assert np.isnan(table.column(f"n{tr}")).all()
+            assert np.isnan(table.column(f"ng{tr}")).all()
 
 
 def test_steady_states_on_random_drives(params):

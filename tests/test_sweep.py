@@ -1,10 +1,77 @@
+import json
+
 import numpy as np
 import pytest
 
 import hfs
+from hfs import optics, sweep
 from hfs.model import STATE_COLUMNS, pack
-from hfs.sweep import (COLUMNS, SweepSpec, read_csv, read_json, run_sweep,
-                       summarize, write_csv, write_json)
+from hfs.sweep import (COLUMNS, SpectrumTable, SweepSpec, read_csv,
+                       read_json, run_sweep, summarize, write_csv,
+                       write_json)
+
+LABEL_COLUMNS = ("dispersion_class_31", "line_class_31",
+                 "dispersion_class_41", "line_class_41")
+
+
+def assert_same_table(a, b):
+    """Equal column by column, dtype included; NaN equals NaN."""
+    assert len(a) == len(b)
+    for c in COLUMNS:
+        x, y = a.column(c), b.column(c)
+        assert x.dtype == y.dtype, c
+        assert np.array_equal(x, y, equal_nan=x.dtype == float), c
+
+
+def table_columns(table):
+    """Writable copies of every column."""
+    return {c: table.column(c).copy() for c in COLUMNS}
+
+
+def flag_rows(cols, rows):
+    """Make ``rows`` look like singular grid points, as solve_grid and the
+    optics leave them: NaN values, blank labels, not converged."""
+    for c in COLUMNS[3:]:
+        if c in LABEL_COLUMNS:
+            cols[c][rows] = ""
+        elif c == "converged":
+            cols[c][rows] = False
+        elif c == "iterations":
+            cols[c][rows] = 0
+        else:
+            cols[c][rows] = np.nan
+    return cols
+
+
+# The record-at-a-time writers the columnar ones replaced, kept as oracles
+# for the bytes.
+def _format_oracle(value, col):
+    if col in LABEL_COLUMNS:
+        return str(value)
+    if col in ("ndd", "converged"):
+        return "true" if value else "false"
+    if col == "iterations":
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def _records(table):
+    return [dict(zip(COLUMNS, row))
+            for row in zip(*(table.column(c).tolist() for c in COLUMNS))]
+
+
+def csv_oracle(table, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(COLUMNS) + "\n")
+        for rec in _records(table):
+            fh.write(",".join(_format_oracle(rec[c], c) for c in COLUMNS)
+                     + "\n")
+
+
+def json_oracle(table, path):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_records(table), fh, indent=1)
+        fh.write("\n")
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +104,8 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(delta_c=(-1.0, 0.0, 2.0), omegas=(1.0,),
                       symmetric_grid=True)
+        with pytest.raises(ValueError, match="repeat"):
+            SweepSpec(delta_c=(-1.0, 0.0, 1.0), omegas=(5.0, 20.0, 5.0))
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_bounds_rejected_before_grid(self, params):
@@ -60,22 +129,22 @@ class TestSweepSpec:
 class TestRunSweep:
 
     def test_all_columns_present(self, small_table):
-        for rec in small_table.records:
-            assert set(rec) == set(COLUMNS)
+        for c in COLUMNS:
+            assert len(small_table.column(c)) == len(small_table) == 82, c
 
     def test_all_converged(self, small_table):
-        assert all(r["converged"] for r in small_table.records)
-        assert all(r["residual"] < 1e-10 for r in small_table.records)
+        assert small_table.column("converged").all()
+        assert np.all(small_table.column("residual") < 1e-10)
 
     def test_row_order(self, small_table):
-        # records grouped by omega ascending, then delta_c ascending
-        oms = [r["omega_over_gamma"] for r in small_table.records]
+        # rows grouped by omega ascending, then delta_c ascending
+        oms = small_table.column("omega_over_gamma").tolist()
         assert oms == sorted(oms)
         dcs = small_table.column("delta_c_over_delta_u", 5.0)
         assert np.all(np.diff(dcs) > 0)
 
     def test_matches_pointwise_solve(self, params, small_table):
-        rec = small_table.records[10]
+        rec = {c: small_table.column(c)[10] for c in COLUMNS}
         drive = hfs.Drive(omega=rec["omega_over_gamma"],
                           delta_c=rec["delta_c_over_delta_u"] * params.delta_u)
         rho = hfs.solve_selfconsistent(params, drive).rho
@@ -87,10 +156,102 @@ class TestRunSweep:
         spec = SweepSpec.paper_grid(params, count=11, span_delta_u=0.5,
                                     omegas=(5.0,), ndd=True)
         t = run_sweep(params, spec)
-        assert all(r["converged"] for r in t.records)
-        assert all(r["ndd"] for r in t.records)
+        assert t.column("converged").all()
+        assert t.column("ndd").all()
         # every point starts cold; Newton takes at most four solves
-        assert all(1 < r["iterations"] <= 4 for r in t.records)
+        its = t.column("iterations")
+        assert np.all((1 < its) & (its <= 4))
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_flagged_row_masked(self, params, monkeypatch, k):
+        # a singular point inside an ordinary grid: its row keeps blank
+        # labels and NaN optics, and its neighbours are classified and
+        # differenced as if it were not on the grid
+        spec = SweepSpec.paper_grid(params, count=13, span_delta_u=1.5,
+                                    omegas=(5.0,))
+        plain = run_sweep(params, spec)
+        solve_grid = sweep.solve_grid
+
+        def one_singular(*args):
+            sol = solve_grid(*args)
+            sol.singular[k], sol.converged[k], sol.iterations[k] = \
+                True, False, 0
+            sol.x[k] = sol.residual[k] = np.nan
+            return sol
+
+        monkeypatch.setattr(sweep, "solve_grid", one_singular)
+        t = run_sweep(params, spec)
+        keep = np.arange(13) != k
+        for c in LABEL_COLUMNS:
+            assert t.column(c)[k] == ""
+        for c in ("w_g", "chi31_re", "chi41_im", "n31", "ng31", "n41",
+                  "ng41"):
+            assert np.isnan(t.column(c)[k]), c
+        grid = np.asarray(spec.delta_c)[keep]
+        for tr in ("31", "41"):
+            n = plain.column(f"n{tr}")[keep]
+            ng, _ = optics.group_index_profile(grid, n, params)
+            assert np.array_equal(t.column(f"ng{tr}")[keep], ng)
+            disp, line = optics.classify(
+                grid, n, plain.column(f"chi{tr}_im")[keep])
+            assert t.column(f"dispersion_class_{tr}")[keep].tolist() == \
+                disp.tolist()
+            assert t.column(f"line_class_{tr}")[keep].tolist() == \
+                line.tolist()
+        # rows two or more away from the flagged one do not change
+        far = np.abs(np.arange(13) - k) >= 2
+        for c in COLUMNS:
+            assert np.array_equal(t.column(c)[far], plain.column(c)[far]), c
+
+
+class TestTableContract:
+    """What readers of a table rely on, for a table fresh from run_sweep
+    and for one read back from each file format."""
+
+    @pytest.fixture(params=["run", "csv", "json"])
+    def table(self, request, small_table, tmp_path):
+        if request.param == "run":
+            return small_table
+        path = tmp_path / f"t.{request.param}"
+        if request.param == "csv":
+            write_csv(small_table, path)
+            return read_csv(path)
+        write_json(small_table, path)
+        return read_json(path)
+
+    def test_columns(self, table):
+        for c in COLUMNS:
+            col = table.column(c)
+            assert isinstance(col, np.ndarray) and col.shape == (82,), c
+            for om in (0.5, 5.0):
+                assert table.column(c, om).shape == (41,), c
+            if c in LABEL_COLUMNS:
+                assert col.dtype == object
+                assert all(type(v) is str for v in col)
+        assert table.column("rho11", 7.0).shape == (0,)
+
+    def test_columns_read_only(self, table):
+        with pytest.raises(ValueError):
+            table.column("rho11")[0] = 1.0
+
+    def test_coherence_complex(self, table):
+        c = table.coherence("31", 5.0)
+        assert c.dtype == complex and c.shape == (41,)
+        assert np.array_equal(c.imag, table.column("im_rho31", 5.0))
+
+    def test_omegas_and_summary_keys_builtin(self, table):
+        assert table.omegas() == [0.5, 5.0]
+        assert all(type(w) is float for w in table.omegas())
+        out = summarize(table)
+        assert list(out) == [0.5, 5.0]
+        assert all(type(w) is float for w in out)
+        json.dumps(out, allow_nan=False)
+
+    def test_rejects_interleaved_omegas(self, small_table):
+        cols = table_columns(small_table)
+        order = np.r_[0:10, 50:60, 10:20]
+        with pytest.raises(ValueError, match="contiguous"):
+            SpectrumTable({c: v[order] for c, v in cols.items()})
 
 
 class TestSerialization:
@@ -99,13 +260,56 @@ class TestSerialization:
         path = tmp_path / "sweep.csv"
         write_csv(small_table, path)
         back = read_csv(path)
-        assert back.records == small_table.records
+        assert_same_table(back, small_table)
 
     def test_json_round_trip(self, small_table, tmp_path):
         path = tmp_path / "sweep.json"
         write_json(small_table, path)
         back = read_json(path)
-        assert back.records == small_table.records
+        assert_same_table(back, small_table)
+
+    @pytest.mark.parametrize("which", ["ndd_off", "ndd_on", "odd_values"])
+    def test_writer_bytes_match_record_oracle(self, params, small_table,
+                                              tmp_path, which):
+        if which == "ndd_off":
+            table = small_table
+        elif which == "ndd_on":
+            table = run_sweep(params, SweepSpec.paper_grid(
+                params, count=11, span_delta_u=0.5, omegas=(0.5, 20.0),
+                ndd=True))
+        else:
+            # flagged rows (a whole omega block and single rows), -0.0,
+            # infinities, bools and ints of both kinds
+            cols = flag_rows(table_columns(small_table),
+                             np.r_[0:41, 45, 81])
+            cols["w_e"][50] = -0.0
+            cols["chi31_re"][51], cols["chi31_im"][52] = np.inf, -np.inf
+            cols["residual"][53] = 5e-324
+            cols["iterations"][54] = 123456
+            cols["ndd"][55:60] = True
+            table = SpectrumTable(cols)
+        for ext, write, oracle, read in (
+                ("csv", write_csv, csv_oracle, read_csv),
+                ("json", write_json, json_oracle, read_json)):
+            got, ref = tmp_path / f"got.{ext}", tmp_path / f"ref.{ext}"
+            write(table, got)
+            oracle(table, ref)
+            assert got.read_bytes() == ref.read_bytes(), ext
+            back = read(got)
+            assert_same_table(back, table)
+            again = tmp_path / f"again.{ext}"
+            write(back, again)
+            assert again.read_bytes() == ref.read_bytes(), ext
+
+    def test_empty_table_bytes(self, tmp_path):
+        table = SpectrumTable({c: [] for c in COLUMNS})
+        for ext, write, oracle in (("csv", write_csv, csv_oracle),
+                                   ("json", write_json, json_oracle)):
+            got, ref = tmp_path / f"got.{ext}", tmp_path / f"ref.{ext}"
+            write(table, got)
+            oracle(table, ref)
+            assert got.read_bytes() == ref.read_bytes(), ext
+        assert len(read_csv(tmp_path / "got.csv")) == 0
 
     def test_csv_deterministic_bytes(self, params, tmp_path):
         spec = SweepSpec.paper_grid(params, count=11, span_delta_u=0.5,
@@ -119,6 +323,15 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_csv(path)
+
+    def test_malformed_rows_rejected(self, small_table, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(small_table, path)
+        lines = path.read_text().split("\n")
+        lines[5] = lines[5].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="cells"):
             read_csv(path)
 
     def test_write_error_mentions_path(self, small_table, tmp_path):
@@ -151,3 +364,27 @@ class TestSummarize:
         assert out["w_g_min"]["value"] < -0.9
         assert out["w_g_min"]["delta_c_over_delta_u"] == pytest.approx(
             -1.0, abs=0.1)
+
+    def test_flagged_intensity_reports_none(self, small_table):
+        # every row of omega 0.5 flagged: no extrema, no gain intervals,
+        # and the other omega's entry as before
+        cols = flag_rows(table_columns(small_table), slice(0, 41))
+        out = summarize(SpectrumTable(cols))
+        entry = out[0.5]
+        for key in ("w_g_max", "w_g_min", "w_e_max", "w_e_min"):
+            assert entry[key] is None
+        for tr in ("31", "41"):
+            assert entry[f"transition_{tr}"] == {
+                "gain_intervals": [], "absorption_peak": None,
+                "gain_peak": None,
+                "steepest_dispersion_delta_c_over_delta_u": None}
+        assert out[5.0] == summarize(small_table)[5.0]
+        json.dumps(out, allow_nan=False)
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_sweep_summarized(self):
+        p = hfs.sodium_d1().replace(gamma31=0.0, gamma32=0.0, gamma41=0.0,
+                                    gamma42=0.0)
+        out = summarize(run_sweep(p, SweepSpec.linear(-5.0, 5.0, 5, (2.0,))))
+        assert out[2.0]["w_g_max"] is None
+        assert out[2.0]["transition_31"]["gain_intervals"] == []
