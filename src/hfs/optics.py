@@ -63,7 +63,7 @@ def susceptibility(params: SystemParams, drive: Drive, rho: np.ndarray,
                           chi_re=chi.real, chi_im=chi.imag)
 
 
-def refractive_index(chi):
+def refractive_index(chi: complex | np.ndarray) -> float | np.ndarray:
     """Principal-branch n = Re sqrt(1 + chi), elementwise."""
     return np.sqrt(1.0 + np.asarray(chi, dtype=complex)).real
 
@@ -87,7 +87,8 @@ def group_index_profile(delta_c: np.ndarray, n: np.ndarray,
     angular frequency via ``gamma_ref``.  Central differences at interior
     points, one-sided at the ends; points with non-finite n are skipped
     (see ``_slope``) and get NaN.  Returns (n_g, nonuniform_mask) where the
-    mask flags interior points with unequal neighbour spacing.
+    mask flags interior points whose two differenced neighbours are not
+    equally spaced.
     """
     delta_c = np.asarray(delta_c, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -97,9 +98,10 @@ def group_index_profile(delta_c: np.ndarray, n: np.ndarray,
         raise ValueError("grid must be strictly increasing")
     omega_abs = delta_c * params.gamma_ref     # offset from carrier, rad/s
     ng = n + params.omega0 * _slope(n, omega_abs)
-    h = np.diff(delta_c)
+    used = np.flatnonzero(np.isfinite(n))
+    h = np.diff(delta_c[used])
     nonuniform = np.zeros(delta_c.size, dtype=bool)
-    nonuniform[1:-1] = ~np.isclose(h[:-1], h[1:], rtol=1e-9, atol=0.0)
+    nonuniform[used[1:-1]] = ~np.isclose(h[:-1], h[1:], rtol=1e-9, atol=0.0)
     return ng, nonuniform
 
 

@@ -143,14 +143,16 @@ class TestClassification:
         n_bad, chi_bad = n.copy(), chi_im.copy()
         n_bad[k] = chi_bad[k] = np.nan
         disp, line = classify(dc, n_bad, chi_bad)
-        ng, _ = hfs.group_index_profile(dc, n_bad, params)
+        ng, mask = hfs.group_index_profile(dc, n_bad, params)
         keep = np.arange(7) != k
         assert disp[k] == line[k] == "" and np.isnan(ng[k])
         ref_disp, ref_line = classify(dc[keep], n[keep], chi_im[keep])
         assert disp[keep].tolist() == ref_disp.tolist()
         assert line[keep].tolist() == ref_line.tolist()
-        ref_ng, _ = hfs.group_index_profile(dc[keep], n[keep], params)
+        ref_ng, ref_mask = hfs.group_index_profile(dc[keep], n[keep], params)
         assert np.array_equal(ng[keep], ref_ng)
+        assert np.array_equal(mask[keep], ref_mask) and not mask[k]
+        assert mask[keep].any() == (0 < k < 6)
 
     def test_all_points_flagged(self, params):
         nan = np.full(4, np.nan)
