@@ -230,6 +230,8 @@ def read_csv(path) -> SpectrumTable:
         raise ValueError(f"CSV row with a wrong number of cells in {path}")
     cols = dict(zip(COLUMNS, zip(*rows) if rows else [()] * len(COLUMNS)))
     for c in ("ndd", "converged"):
+        if not set(cols[c]) <= {"true", "false"}:
+            raise ValueError(f"CSV column {c} is not true/false in {path}")
         cols[c] = [v == "true" for v in cols[c]]
     return SpectrumTable(cols)
 

@@ -333,6 +333,10 @@ class TestSerialization:
         path.write_text("\n".join(lines))
         with pytest.raises(ValueError, match="cells"):
             read_csv(path)
+        write_csv(small_table, path)
+        path.write_text(path.read_text().replace(",true,", ",True,", 1))
+        with pytest.raises(ValueError, match="true/false"):
+            read_csv(path)
 
     def test_write_error_mentions_path(self, small_table, tmp_path):
         with pytest.raises(OSError, match="no/such"):
