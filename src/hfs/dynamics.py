@@ -12,7 +12,7 @@ with a chunked Runge-Kutta fallback available.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,8 +37,6 @@ class StepSizeUnderflow(Exception):
 class Trajectory:
     t: np.ndarray                 # times, units of 1/gamma, strictly increasing
     rho: np.ndarray               # (n, 4, 4) complex samples
-    dense: bool = False
-    trace_corrections: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -55,8 +53,8 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
     """Integrate the equations of motion from ``rho0`` up to ``t_end``.
 
     The local-field coupling, when enabled, is evaluated from the
-    instantaneous state at every stage.  Trace drift beyond 1e-9 triggers a
-    renormalisation of the stored sample, each logged in the trajectory.
+    instantaneous state at every stage.  A stored sample whose trace drifts
+    beyond 1e-9 is renormalised.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
@@ -76,8 +74,7 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
     tr = np.trace(rhos, axis1=1, axis2=2).real
     drifted = np.abs(tr - 1.0) > _TRACE_DEFECT_LIMIT
     rhos[drifted] /= tr[drifted, None, None]
-    return Trajectory(t=sol.t.copy(), rho=rhos, dense=t_eval is not None,
-                      trace_corrections=sol.t[drifted].tolist())
+    return Trajectory(t=sol.t.copy(), rho=rhos)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -1,21 +1,22 @@
-"""Steady-state solvers.
+"""Steady-state solver.
 
 At a fixed Rabi set the equations of motion are linear in the 16 real state
 components, so the steady state is a direct linear solve with one population
-row traded for the unit-trace constraint.  With the local-field correction
-enabled the four effective couplings depend on Re(rho_ij), and the steady
-state is a fixed point in those couplings.  It is found by Newton's method on
-the couplings, whose 4x4 Jacobian comes from differentiating the linear
-solve; a damped Picard iteration takes over whenever a Newton step fails to
-make progress.
+row traded for the unit-trace constraint.  The generator is affine in the
+detuning and the couplings,
+``A = A(0) + delta * A_delta + sum_q rabi_q * B_q``, so a detuning axis at
+one drive is a single ``(N, 16, 16)`` stack solved by batched LU, and one
+drive is the one-point stack.  With the local-field correction enabled the
+four effective couplings depend on Re(rho_ij), and the steady state is a
+fixed point in those couplings.  It is found by Newton's method on the
+couplings, in lockstep over the stack, whose 4x4 Jacobians come from
+differentiating the linear solve; a point whose Newton step fails to make
+progress continues by a damped Picard iteration.
 
-:func:`solve_selfconsistent` solves one drive.  :func:`solve_grid` solves a
-whole detuning axis at one drive strength as one stack: the generator is
-affine in the detuning and the couplings,
-``A = A(0) + delta * A_delta + sum_q rabi_q * B_q``, so the axis is a single
-``(N, 16, 16)`` array with batched solves, and Newton runs in lockstep over
-it.  Both share the row handling and the Newton step, and
-:func:`solve_selfconsistent` is the reference the grid is checked against.
+:func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
+one drive, both through :func:`_solve_axis`.  The independent checks of the
+solver are :func:`hfs.dynamics.relax_to_steady` and the two-level closed
+form of :mod:`hfs.identities`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .model import STATE_COLUMNS, pack, rhs_verbatim, unpack
 from .params import (PAIRS, Drive, RabiSet, SystemParams, bare_rabi,
@@ -45,6 +45,10 @@ _PINNABLE = np.arange(1, 4)
 _PAIR_RE = np.array([STATE_COLUMNS.index(f"re_rho{p[::-1]}") for p in PAIRS])
 
 _NO_COUPLING = RabiSet(0.0, 0.0, 0.0, 0.0)
+
+#: the 16 unit states, whose packed derivatives are the generator's columns
+_UNIT_STATES = unpack(np.eye(16))
+_UNIT_STATES.flags.writeable = False
 
 
 class SingularSystem(Exception):
@@ -96,7 +100,7 @@ def generator_matrix(params: SystemParams, drive: Drive,
     Column k is the packed derivative of the k-th unit state, all 16 taken
     as one stack.
     """
-    return pack(rhs_verbatim(params, drive, unpack(np.eye(16)), rabi=rabi))
+    return pack(rhs_verbatim(params, drive, _UNIT_STATES, rabi=rabi))
 
 
 def _couplings(rabi: RabiSet) -> np.ndarray:
@@ -142,9 +146,9 @@ def _detuning_stack(params: SystemParams, delta_c: np.ndarray) -> np.ndarray:
     """(N, 16, 16) generators without couplings at the detunings ``delta_c``.
 
     ``A(0)`` comes from :func:`generator_matrix` at ``delta_c = -delta_u``,
-    where the detuning is exactly 0.  An entry matches the per-point
-    generator exactly or, where the per-point build subtracts both
-    splittings from the detuning, to rounding.
+    where the detuning is exactly 0.  An entry matches
+    :func:`generator_matrix` at the same detuning exactly or, where that
+    build subtracts both splittings from the detuning, to rounding.
     """
     a0 = generator_matrix(params, Drive(omega=0.0, delta_c=-params.delta_u),
                           _NO_COUPLING)
@@ -161,8 +165,8 @@ def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     state.  Returns ``(m, kept)``, ``kept`` masking the generator rows kept
     as equations.
     """
-    row_max = np.max(np.abs(a), axis=-1)
-    scale = np.maximum(np.max(row_max, axis=-1, keepdims=True), 1.0)
+    row_max = np.abs(a).max(axis=-1)
+    scale = np.maximum(row_max.max(axis=-1, keepdims=True), 1.0)
     kept = row_max >= _ZERO_ROW_TOL * scale
     kept[..., 0] = False
     kept[..., 4:] = True
@@ -171,47 +175,6 @@ def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m[..., _PINNABLE, _PINNABLE] = np.where(
         kept[..., _PINNABLE], m[..., _PINNABLE, _PINNABLE], 1.0)
     return m, kept
-
-
-def _steady_system(params: SystemParams, drive: Drive, rabi: RabiSet):
-    """Factor and solve the steady-state system at a frozen Rabi set.
-
-    Returns ``(x, m, kept)``: the packed solution, the system matrix of
-    :func:`_system_rows` and its mask of kept rows.  Raises
-    :class:`SingularSystem` when the couplings all vanish or the system has
-    no unique finite solution.
-    """
-    if rabi.max_abs() == 0.0:
-        raise SingularSystem("all effective couplings vanish; "
-                             "ground populations are undetermined")
-    m, kept = _system_rows(generator_matrix(params, drive, rabi))
-    lu, piv, info = lapack.dgetrf(m)
-    x = lapack.dgetrs(lu, piv, _TRACE_RHS)[0]
-    if info != 0 or not np.all(np.isfinite(x)):
-        raise SingularSystem("steady-state system is rank deficient",
-                             cond=float(np.linalg.cond(m)))
-    # one step of iterative refinement keeps the residual near round-off
-    x += lapack.dgetrs(lu, piv, _TRACE_RHS - m @ x)[0]
-    return x, m, kept
-
-
-def solve_linear_steady(params: SystemParams, drive: Drive,
-                        rabi: RabiSet) -> np.ndarray:
-    """Steady state at a frozen Rabi set.
-
-    The population-1 row is replaced by the trace constraint.  A population
-    whose equation row is identically zero (a level fully decoupled from
-    drive and decay) is pinned to zero, matching evolution from the ground
-    state.  Any remaining rank deficiency raises :class:`SingularSystem`.
-    """
-    x, m, _ = _steady_system(params, drive, rabi)
-    # the physical residual excludes the replaced rows
-    resid = float(np.max(np.abs(pack(
-        rhs_verbatim(params, drive, unpack(x), rabi=rabi)))))
-    if resid > _RESIDUAL_GATE:
-        raise SingularSystem("steady-state system is rank deficient",
-                             cond=float(np.linalg.cond(m)))
-    return unpack(x)
 
 
 def residual_norm(params: SystemParams, drive: Drive,
@@ -223,8 +186,8 @@ def residual_norm(params: SystemParams, drive: Drive,
 
 def _rho_max_abs(x: np.ndarray) -> np.ndarray:
     """Max-abs element of the 4x4 matrices behind packed ``x`` (..., 16)."""
-    return np.maximum(np.max(np.abs(x[..., 0:4]), axis=-1),
-                      np.max(np.hypot(x[..., 4::2], x[..., 5::2]), axis=-1))
+    return np.maximum(np.abs(x[..., 0:4]).max(axis=-1),
+                      np.hypot(x[..., 4::2], x[..., 5::2]).max(axis=-1))
 
 
 def _newton_step(x: np.ndarray, m: np.ndarray, kept: np.ndarray,
@@ -235,108 +198,14 @@ def _newton_step(x: np.ndarray, m: np.ndarray, kept: np.ndarray,
     Differentiating M x = b gives dx/drabi_q = -M^-1 B~_q x, where B~_q is
     the coupling matrix with the replaced and pinned rows zeroed.  The
     fixed-point map's Jacobian is then I + diag(eps) dRe(x_p)/drabi_q.
-    Takes one point or a stack (leading axes on every argument but
-    ``eps``).  Raises ``LinAlgError`` when any matrix is singular.
+    Takes a stack (leading axes on every argument but ``eps``).  Raises
+    ``LinAlgError`` when any matrix is singular.
     """
     bx = np.swapaxes(np.tensordot(x, _coupling_basis(), axes=(-1, -1)),
                      -1, -2)
     dx = -np.linalg.solve(m, np.where(kept[..., None], bx, 0.0))
     jac = np.eye(4) + eps[:, None] * dx[..., _PAIR_RE, :]
     return np.linalg.solve(jac, fixed_point_residual[..., None])[..., 0]
-
-
-def _picard(params: SystemParams, drive: Drive, opts: SolveOptions,
-            rho: np.ndarray, iterations: int) -> tuple[np.ndarray, bool, int]:
-    """Damped Picard iteration from ``rho``, counting on from ``iterations``.
-
-    Recompute the Rabi set from the current iterate, re-solve, mix with
-    ``damping``, until the max-abs change in rho drops below ``fp_tol`` or
-    ``max_iters`` iterations are spent in all.
-    """
-    for iterations in range(iterations + 1, opts.max_iters + 1):
-        rho_new = solve_linear_steady(params, drive,
-                                      effective_rabi(params, drive, rho))
-        change = float(np.max(np.abs(rho_new - rho)))
-        rho = opts.damping * rho_new + (1.0 - opts.damping) * rho
-        if change < opts.fp_tol:
-            return rho, True, iterations
-    return rho, False, iterations
-
-
-def _newton(params: SystemParams, drive: Drive, opts: SolveOptions,
-            eps: np.ndarray) -> tuple[np.ndarray, bool, int]:
-    """Newton iteration on the couplings, falling back to :func:`_picard`.
-
-    The first iterate is the solve at the bare couplings, which counts as no
-    iteration.  The fallback continues from the last iterate when the
-    fixed-point residual fails to decrease, the Jacobian is singular, or a
-    step is not finite.
-    """
-    bare = _couplings(bare_rabi(params, drive))
-    rabi = bare
-    x, m, kept = _steady_system(params, drive, RabiSet(*rabi))
-    iterations = 0
-    converged = False
-    last_resid = np.inf
-    while not converged and iterations < opts.max_iters:
-        fp_resid = rabi - (bare - eps * x[_PAIR_RE])
-        resid = float(np.max(np.abs(fp_resid)))
-        if not resid < last_resid:
-            break
-        last_resid = resid
-        try:
-            step = _newton_step(x, m, kept, eps, fp_resid)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        rabi = rabi - step
-        x_new, m, kept = _steady_system(params, drive, RabiSet(*rabi))
-        iterations += 1
-        converged = float(_rho_max_abs(x_new - x)) < opts.fp_tol
-        x = x_new
-    else:
-        return unpack(x), converged, iterations
-    # a step made no progress: damped Picard from the last iterate
-    return _picard(params, drive, opts, unpack(x), iterations)
-
-
-def solve_selfconsistent(params: SystemParams, drive: Drive,
-                         opts: SolveOptions | None = None) -> SteadyResult:
-    """Steady state with the local-field correction iterated to a fixed point.
-
-    Without the correction the first linear solve is already the fixed point.
-    Otherwise Newton's method on the four effective couplings runs until the
-    max-abs change in rho between successive solves drops below ``fp_tol``;
-    where a Newton step fails to make progress, the damped Picard iteration
-    (mixing weight ``damping``) continues from the last iterate.  The last
-    step is always a plain solve at the final Rabi set so the returned rho
-    satisfies the equations to round-off.
-    """
-    opts = opts or SolveOptions()
-    eps = drive.epsilon_for(params)
-    ndd_active = drive.ndd_enabled and any(v != 0.0 for v in eps.values())
-
-    if not ndd_active:
-        rabi = bare_rabi(params, drive)
-        rho = solve_linear_steady(params, drive, rabi)
-        return SteadyResult(rho=rho, converged=True, iterations=1,
-                            residual=residual_norm(params, drive, rho),
-                            rabi_final=effective_rabi(params, drive, rho))
-
-    rho, converged, iterations = _newton(
-        params, drive, opts, np.array([eps[p] for p in PAIRS]))
-    # final clean solve at the converged couplings
-    rho = solve_linear_steady(params, drive, effective_rabi(params, drive, rho))
-    return SteadyResult(
-        rho=rho,
-        converged=converged,
-        iterations=iterations,
-        residual=residual_norm(params, drive, rho),
-        rabi_final=effective_rabi(params, drive, rho),
-        message="" if converged else
-        f"fixed-point iteration did not converge in {opts.max_iters} steps",
-    )
 
 
 @dataclass(frozen=True)
@@ -358,7 +227,10 @@ class GridSolution:
 
 def _with_couplings(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
     """Generators from a coupling-free stack and couplings (4,) or (N, 4)."""
-    return base + np.tensordot(rabi, _coupling_basis(), axes=1)
+    # the product np.tensordot(rabi, basis, axes=1) forms, without its
+    # Python overhead
+    per_point = np.dot(rabi.reshape(-1, 4), _coupling_basis().reshape(4, -1))
+    return base + per_point.reshape(rabi.shape[:-1] + (16, 16))
 
 
 def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -383,30 +255,90 @@ def _solve_stack(base: np.ndarray, rabi: np.ndarray):
         x = np.linalg.solve(m, _TRACE_RHS[:, None])[..., 0]
     except np.linalg.LinAlgError:
         return np.zeros((len(a), 16)), a, m, kept, np.zeros(len(a), bool)
-    ok = np.all(np.isfinite(x), axis=-1) & np.any(rabi != 0.0, axis=-1)
+    ok = np.isfinite(x).all(axis=-1) & (rabi != 0.0).any(axis=-1)
     x[~ok] = 0.0
-    # one step of iterative refinement, as in _steady_system
+    # one step of iterative refinement keeps the residual near round-off
     x += np.linalg.solve(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
-    ok &= np.all(np.isfinite(x), axis=-1)
+    ok &= np.isfinite(x).all(axis=-1)
     x[~ok] = 0.0
     return x, a, m, kept, ok
+
+
+def _gate(resid: np.ndarray) -> np.ndarray:
+    """The points whose packed residuals (N, 16) stay within the gate."""
+    return np.abs(resid).max(axis=-1) <= _RESIDUAL_GATE
+
+
+def _singular(rabi: np.ndarray, m: np.ndarray) -> SingularSystem:
+    """The error of a point at couplings ``rabi`` with system matrix ``m``."""
+    if not np.any(rabi != 0.0):
+        return SingularSystem("all effective couplings vanish; "
+                              "ground populations are undetermined")
+    return SingularSystem("steady-state system is rank deficient",
+                          cond=float(np.linalg.cond(m)))
+
+
+def _solve_one(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
+    """Packed steady state of a one-point stack at couplings ``rabi`` (4,).
+
+    The solution must pass the residual gate on its generator; otherwise,
+    or when the solve is not usable, raises :class:`SingularSystem`.
+    """
+    x, a, m, _, ok = _solve_stack(base, rabi)
+    if not (ok[0] and _gate(_apply(a, x))[0]):
+        raise _singular(rabi, m[0])
+    return x[0]
+
+
+def solve_linear_steady(params: SystemParams, drive: Drive,
+                        rabi: RabiSet) -> np.ndarray:
+    """Steady state at a frozen Rabi set.
+
+    The population-1 row is replaced by the trace constraint.  A population
+    whose equation row is identically zero (a level fully decoupled from
+    drive and decay) is pinned to zero, matching evolution from the ground
+    state.  Any remaining rank deficiency raises :class:`SingularSystem`.
+    """
+    base = _detuning_stack(params, np.array([drive.delta_c]))
+    return unpack(_solve_one(base, _couplings(rabi)))
+
+
+def _picard(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+            opts: SolveOptions, x: np.ndarray,
+            iterations: int) -> tuple[np.ndarray, bool, int]:
+    """Damped Picard iteration of a one-point stack from packed ``x``.
+
+    Recompute the couplings from the current iterate, re-solve, mix with
+    ``damping``, until the max-abs change in rho drops below ``fp_tol`` or
+    ``max_iters`` iterations are spent in all, counting on from
+    ``iterations``.
+    """
+    for iterations in range(iterations + 1, opts.max_iters + 1):
+        x_new = _solve_one(base, bare - eps * x[_PAIR_RE])
+        change = float(_rho_max_abs(x_new - x))
+        x = opts.damping * x_new + (1.0 - opts.damping) * x
+        if change < opts.fp_tol:
+            return x, True, iterations
+    return x, False, iterations
 
 
 def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                      opts: SolveOptions):
     """Cold Newton on the couplings of every point of a stack at once.
 
-    The stack form of :func:`_newton` up to its Picard fallback: each point
-    leaves the lockstep when the max-abs change in rho drops below
-    ``fp_tol`` or it has spent ``max_iters`` iterations.  Returns
-    ``(x, converged, iterations, retry)``; ``retry`` marks the points whose
-    fixed-point residual failed to decrease, whose step was not finite or
-    whose system was singular, which are left for the per-point solver.
+    The first iterate is the solve at the bare couplings, which counts as no
+    iteration.  Each point leaves the lockstep when the max-abs change in
+    rho drops below ``fp_tol`` or it has spent ``max_iters`` iterations.
+    Returns ``(x, m, converged, iterations, stalled, failed)``: ``m`` holds
+    each point's last system matrix, ``stalled`` marks a fixed-point
+    residual that failed to decrease or a step that was not finite, and
+    ``failed`` a singular system or a Jacobian that failed a batch.
     """
     n = len(base)
     rabi = np.tile(bare, (n, 1))
     x, _, m, kept, ok = _solve_stack(base, rabi)
-    retry = ~ok
+    failed = ~ok
+    stalled = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)
     last_resid = np.full(n, np.inf)
@@ -416,25 +348,113 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         resid = np.max(np.abs(fp_resid), axis=-1)
         moving = resid < last_resid[live]
         last_resid[live] = resid
-        retry[live[~moving]] = True
+        stalled[live[~moving]] = True
         live, fp_resid = live[moving], fp_resid[moving]
+        if not live.size:
+            break
         try:
             step = _newton_step(x[live], m[live], kept[live], eps, fp_resid)
         except np.linalg.LinAlgError:
+            if live.size > 1:
+                # one singular Jacobian fails the batch, not every point
+                failed[live] = True
+                break
             step = np.full_like(fp_resid, np.nan)
         finite = np.all(np.isfinite(step), axis=-1)
-        retry[live[~finite]] = True
+        stalled[live[~finite]] = True
         live, step = live[finite], step[finite]
         rabi[live] -= step
         x_new, _, m[live], kept[live], ok = _solve_stack(base[live],
                                                          rabi[live])
-        retry[live[~ok]] = True
+        failed[live[~ok]] = True
         iterations[live] += 1
         converged[live] = ok & (_rho_max_abs(x_new - x[live]) < opts.fp_tol)
         x[live] = x_new
         spent = iterations[live] >= opts.max_iters
         live = live[ok & ~converged[live] & ~spent]
-    return x, converged, iterations, retry
+    return x, m, converged, iterations, stalled, failed
+
+
+def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
+                opts: SolveOptions):
+    """Steady states of ``drive`` at the detunings ``delta_c``, one stack.
+
+    ``drive.delta_c`` is not read.  With the local-field correction, Newton
+    runs in lockstep from the bare couplings, a stalled point continues by
+    :func:`_picard` from its last iterate, and a clean solve follows at the
+    couplings reached.  The final solve is gated on the residual of its
+    generator; ``residual`` is taken at the couplings of the state returned.
+    Returns ``(x, converged, iterations, residual, failed, m)``, ``failed``
+    marking the points not settled (their other fields mean nothing) and
+    ``m`` holding each point's last system matrix.
+    """
+    eps_pairs = drive.epsilon_for(params)
+    eps = np.array([eps_pairs[p] for p in PAIRS])
+    bare = _couplings(bare_rabi(params, drive))
+    base = _detuning_stack(params, delta_c)
+    n = len(base)
+
+    if not (drive.ndd_enabled and np.any(eps != 0.0)):
+        x, a, m, _, ok = _solve_stack(base, bare)
+        resid = _apply(a, x)
+        return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),
+                _rho_max_abs(resid), ~(ok & _gate(resid)), m)
+
+    x, m, converged, iterations, stalled, failed = _lockstep_newton(
+        base, bare, eps, opts)
+    for k in np.flatnonzero(stalled):
+        try:
+            x[k], converged[k], iterations[k] = _picard(
+                base[k:k + 1], bare, eps, opts, x[k], iterations[k])
+        except SingularSystem:
+            failed[k] = True
+
+    # the clean solve at the couplings reached
+    live = np.flatnonzero(~failed)
+    x_live, a, m[live], _, ok = _solve_stack(
+        base[live], bare - eps * x[live][:, _PAIR_RE])
+    ok &= _gate(_apply(a, x_live))
+    # the residual is taken at the couplings of the state returned
+    a = _with_couplings(base[live], bare - eps * x_live[:, _PAIR_RE])
+    residual = np.full(n, np.nan)
+    x[live], residual[live] = x_live, _rho_max_abs(_apply(a, x_live))
+    failed[live[~ok]] = True
+    return x, converged, iterations, residual, failed, m
+
+
+def _solve_point(params: SystemParams, drive: Drive, delta_c: float,
+                 opts: SolveOptions) -> tuple[np.ndarray, bool, int, float]:
+    """``(x, converged, iterations, residual)`` of :func:`_solve_axis` at
+    one detuning; raises :class:`SingularSystem` where it is not settled."""
+    x, converged, iterations, residual, failed, m = _solve_axis(
+        params, drive, np.array([delta_c]), opts)
+    if failed[0]:
+        raise _singular(_couplings(bare_rabi(params, drive)), m[0])
+    return x[0], bool(converged[0]), int(iterations[0]), float(residual[0])
+
+
+def solve_selfconsistent(params: SystemParams, drive: Drive,
+                         opts: SolveOptions | None = None) -> SteadyResult:
+    """Steady state with the local-field correction iterated to a fixed point.
+
+    The one-point case of :func:`solve_grid`, at the drive as given
+    (a pinned ``epsilon`` included).  Newton's method on the four effective
+    couplings runs until the max-abs change in rho between successive
+    solves drops below ``fp_tol``; where a Newton step fails to make
+    progress, the damped Picard iteration continues from the last iterate.
+    The last step is a plain solve at the final Rabi set, so the returned
+    rho satisfies the equations to round-off.  Raises
+    :class:`SingularSystem` where the steady state is not unique.
+    """
+    opts = opts or SolveOptions()
+    x, converged, iterations, residual = _solve_point(params, drive,
+                                                      drive.delta_c, opts)
+    rho = unpack(x)
+    return SteadyResult(
+        rho=rho, converged=converged, iterations=iterations,
+        residual=residual, rabi_final=effective_rabi(params, drive, rho),
+        message="" if converged else
+        f"fixed-point iteration did not converge in {opts.max_iters} steps")
 
 
 def solve_grid(params: SystemParams, omega: float, delta_c,
@@ -442,58 +462,25 @@ def solve_grid(params: SystemParams, omega: float, delta_c,
                opts: SolveOptions | None = None) -> GridSolution:
     """Steady states at drive ``omega`` over the detuning axis ``delta_c``.
 
-    Point by point the same as :func:`solve_selfconsistent` up to rounding.
     The generators of all points form one stack, solved by one batched LU
-    and one refinement step; with the local-field correction, Newton runs in
-    lockstep over the stack from the bare couplings, followed by a clean
-    solve at the couplings reached.  The residual gate of
-    :func:`solve_linear_steady` and the ``residual`` of :func:`residual_norm`
-    are computed on the stack.  A point the stack does not settle (a
-    singular or non-finite solve, a failed gate, a Newton step that stalls
-    or is not finite) is solved again by :func:`solve_selfconsistent`, and
-    its :class:`SingularSystem` marks the point singular.
+    and one refinement step, with Newton in lockstep over the stack when
+    the local-field correction is on (see :func:`_solve_axis`).  A point
+    the stack does not settle is solved again as a one-point stack, and its
+    :class:`SingularSystem` marks the point singular.
     """
     opts = opts or SolveOptions()
     delta_c = np.asarray(delta_c, dtype=float)
     drive = Drive(omega=omega, ndd_enabled=ndd_enabled)
-    eps = np.array([drive.epsilon_for(params)[p] for p in PAIRS])
-    bare = _couplings(bare_rabi(params, drive))
-    ndd_active = ndd_enabled and bool(np.any(eps != 0.0))
-    base = _detuning_stack(params, delta_c)
-    n = delta_c.size
-
-    if ndd_active:
-        x, converged, iterations, retry = _lockstep_newton(base, bare, eps,
-                                                           opts)
-    else:
-        x = np.zeros((n, 16))
-        converged, iterations = np.ones(n, dtype=bool), np.ones(n, dtype=int)
-        retry = np.zeros(n, dtype=bool)
-
-    # the clean solve at the couplings reached, gated as solve_linear_steady
-    live = np.flatnonzero(~retry)
-    rabi = bare - eps * x[live][:, _PAIR_RE] if ndd_active else bare
-    x_live, a, _, _, ok = _solve_stack(base[live], rabi)
-    ok &= np.max(np.abs(_apply(a, x_live)), axis=-1) <= _RESIDUAL_GATE
-    if ndd_active:
-        # the residual is taken at the couplings of the state returned
-        a = _with_couplings(base[live], bare - eps * x_live[:, _PAIR_RE])
-    residual = np.full(n, np.nan)
-    x[live], residual[live] = x_live, _rho_max_abs(_apply(a, x_live))
-    retry[live[~ok]] = True
-
-    singular = np.zeros(n, dtype=bool)
-    for k in np.flatnonzero(retry):
-        point = Drive(omega=omega, delta_c=float(delta_c[k]),
-                      ndd_enabled=ndd_enabled)
+    x, converged, iterations, residual, failed, _ = _solve_axis(
+        params, drive, delta_c, opts)
+    singular = np.zeros(len(x), dtype=bool)
+    for k in np.flatnonzero(failed):
         try:
-            res = solve_selfconsistent(params, point, opts)
+            x[k], converged[k], iterations[k], residual[k] = _solve_point(
+                params, drive, delta_c[k], opts)
         except SingularSystem:
             singular[k] = True
-            x[k], converged[k], iterations[k] = np.nan, False, 0
-            residual[k] = np.nan
-            continue
-        x[k], converged[k] = pack(res.rho), res.converged
-        iterations[k], residual[k] = res.iterations, res.residual
+    x[singular], residual[singular] = np.nan, np.nan
+    converged[singular], iterations[singular] = False, 0
     return GridSolution(x=x, converged=converged, iterations=iterations,
                         residual=residual, singular=singular)

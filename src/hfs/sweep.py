@@ -273,7 +273,7 @@ def summarize(table: SpectrumTable) -> dict:
             entry[f"{name}_min"] = _extremum(np.nanargmin, vals, dc)
         for tr in ("31", "41"):
             chi_im = table.column(f"chi{tr}_im", omega)
-            slope = np.gradient(table.column(f"chi{tr}_re", omega), dc)
+            slope = optics._slope(table.column(f"chi{tr}_re", omega), dc)
             steep = _extremum(np.nanargmax, np.abs(slope), dc)
             entry[f"transition_{tr}"] = {
                 "gain_intervals": _gain_intervals(

@@ -1,14 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hfs
 from hfs import optics, sweep
+from hfs.config import parse_config
 from hfs.model import STATE_COLUMNS, pack
 from hfs.sweep import (COLUMNS, SpectrumTable, SweepSpec, read_csv,
                        read_json, run_sweep, summarize, write_csv,
                        write_json)
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "sweep.cfg"
 
 LABEL_COLUMNS = ("dispersion_class_31", "line_class_31",
                  "dispersion_class_41", "line_class_41")
@@ -21,6 +25,21 @@ def assert_same_table(a, b):
         x, y = a.column(c), b.column(c)
         assert x.dtype == y.dtype, c
         assert np.array_equal(x, y, equal_nan=x.dtype == float), c
+
+
+def run_with_singular_row(params, spec, k, monkeypatch):
+    """run_sweep with grid point ``k`` of every intensity made singular, as
+    solve_grid flags a point without a unique steady state."""
+    solve_grid = sweep.solve_grid
+
+    def one_singular(*args):
+        sol = solve_grid(*args)
+        sol.singular[k], sol.converged[k], sol.iterations[k] = True, False, 0
+        sol.x[k] = sol.residual[k] = np.nan
+        return sol
+
+    monkeypatch.setattr(sweep, "solve_grid", one_singular)
+    return run_sweep(params, spec)
 
 
 def table_columns(table):
@@ -170,17 +189,7 @@ class TestRunSweep:
         spec = SweepSpec.paper_grid(params, count=13, span_delta_u=1.5,
                                     omegas=(5.0,))
         plain = run_sweep(params, spec)
-        solve_grid = sweep.solve_grid
-
-        def one_singular(*args):
-            sol = solve_grid(*args)
-            sol.singular[k], sol.converged[k], sol.iterations[k] = \
-                True, False, 0
-            sol.x[k] = sol.residual[k] = np.nan
-            return sol
-
-        monkeypatch.setattr(sweep, "solve_grid", one_singular)
-        t = run_sweep(params, spec)
+        t = run_with_singular_row(params, spec, k, monkeypatch)
         keep = np.arange(13) != k
         for c in LABEL_COLUMNS:
             assert t.column(c)[k] == ""
@@ -368,6 +377,32 @@ class TestSummarize:
         assert out["w_g_min"]["value"] < -0.9
         assert out["w_g_min"]["delta_c_over_delta_u"] == pytest.approx(
             -1.0, abs=0.1)
+
+    def test_flagged_row_neighbour_reported(self, params, monkeypatch):
+        # the steepest dispersion sits next to a flagged row: the slope is
+        # differenced across the gap, as the ng columns are, so that
+        # neighbour can still be reported
+        spec = SweepSpec.paper_grid(params, count=13, span_delta_u=1.5,
+                                    omegas=(5.0,))
+        t = run_with_singular_row(params, spec, 8, monkeypatch)
+        entry = summarize(t)[5.0]
+        dc = t.column("delta_c_over_delta_u")
+        keep = np.arange(13) != 8
+        for tr in ("31", "41"):
+            slope = np.gradient(t.column(f"chi{tr}_re")[keep], dc[keep])
+            assert dc[keep][np.argmax(np.abs(slope))] == dc[7]
+            assert entry[f"transition_{tr}"][
+                "steepest_dispersion_delta_c_over_delta_u"] == dc[7]
+
+    def test_unflagged_summary_unchanged(self, monkeypatch):
+        # without a flagged row the slope is np.gradient over every row, so
+        # the summary of the demo sweep keeps its bytes
+        doc = parse_config(DEMO_CONFIG.read_text())
+        p = doc.system_params()
+        t = run_sweep(p, doc.sweep_spec(p))
+        text = json.dumps(summarize(t))
+        monkeypatch.setattr(optics, "_slope", np.gradient)
+        assert json.dumps(summarize(t)) == text
 
     def test_flagged_intensity_reports_none(self, small_table):
         # every row of omega 0.5 flagged: no extrema, no gain intervals,
