@@ -156,6 +156,23 @@ def _detuning_stack(params: SystemParams, delta_c: np.ndarray) -> np.ndarray:
     return a0 + delta[:, None, None] * _detuning_basis()
 
 
+def _affine_split(params: SystemParams, drive: Drive, delta_c: np.ndarray):
+    """``(base, bare, eps)``: the affine split of ``drive``'s generators.
+
+    ``base`` holds the (N, 16, 16) generators without couplings at the
+    detunings ``delta_c``, and the couplings at packed state ``x`` are
+    ``bare - eps * x[_PAIR_RE]``: ``bare`` is the bare couplings and ``eps``
+    the local-field strengths, both (4,) in ``PAIRS`` order, ``eps`` zero
+    when the correction is off.  ``drive.delta_c`` is not read.
+    """
+    eps = np.zeros(4)
+    if drive.ndd_enabled:
+        eps_pairs = drive.epsilon_for(params)
+        eps = np.array([eps_pairs[p] for p in PAIRS])
+    return (_detuning_stack(params, delta_c),
+            _couplings(bare_rabi(params, drive)), eps)
+
+
 def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steady-state system matrices from generators ``a``, (..., 16, 16).
 
@@ -388,13 +405,10 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
     marking the points not settled (their other fields mean nothing) and
     ``m`` holding each point's last system matrix.
     """
-    eps_pairs = drive.epsilon_for(params)
-    eps = np.array([eps_pairs[p] for p in PAIRS])
-    bare = _couplings(bare_rabi(params, drive))
-    base = _detuning_stack(params, delta_c)
+    base, bare, eps = _affine_split(params, drive, delta_c)
     n = len(base)
 
-    if not (drive.ndd_enabled and np.any(eps != 0.0)):
+    if not np.any(eps != 0.0):
         x, a, m, _, ok = _solve_stack(base, bare)
         resid = _apply(a, x)
         return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hfs
-from hfs.dynamics import TRAJECTORY_CSV_HEADER, write_trajectory_csv
+from hfs.cli import run_cli
+from hfs.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, _affine_rhs,
+                          write_trajectory_csv)
+from hfs.model import pack, unpack
+from hfs.params import PAIRS, bare_rabi
+from hfs.steady import (_PAIR_RE, _affine_split, _coupling_basis,
+                        generator_matrix)
+
+from test_steady import random_params
 
 
 @pytest.fixture
@@ -39,10 +48,6 @@ class TestEvolve:
     def test_matches_expm_for_frozen_linear_problem(self, params):
         # local-field off: the flow is linear, so expm of the generator is an
         # independent exact propagator
-        import scipy.linalg
-        from hfs.model import pack, unpack
-        from hfs.params import bare_rabi
-        from hfs.steady import generator_matrix
         drive = hfs.Drive(omega=5.0, delta_c=30.0)
         t_end = 10.0
         traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=t_end,
@@ -68,6 +73,36 @@ class TestEvolve:
                     hfs.evolve(params, drive, hfs.ground_state(), t_end=1.0,
                                **kw)
 
+    @pytest.mark.parametrize("mode", ["ndd_off", "ndd_on", "pinned_eps"])
+    def test_affine_rhs_matches_verbatim(self, mode):
+        # the RHS on the affine split against the literal equations at
+        # random Hermitian states, couplings self-consistent from the state,
+        # within 4 ulp of the largest term
+        rng = np.random.default_rng(["ndd_off", "ndd_on",
+                                     "pinned_eps"].index(mode))
+        local_field = 0
+        for dark in (None, 2, 3, 4) * 10:
+            p = random_params(rng, dark)
+            kw = dict(omega=float(rng.uniform(0.1, 30.0)),
+                      delta_c=float(rng.uniform(-3.0, 3.0)) * p.delta_u,
+                      ndd_enabled=mode != "ndd_off")
+            if mode == "pinned_eps":
+                kw["epsilon"] = {q: float(rng.uniform(0.0, 50.0))
+                                 for q in PAIRS}
+            drive = hfs.Drive(**kw)
+            z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            x = pack(z + z.conj().T)
+            ref = pack(hfs.rhs_verbatim(p, drive, unpack(x)))
+            base, bare, eps = _affine_split(p, drive, [drive.delta_c])
+            local_field += np.any(eps != 0.0)
+            coupling = np.abs(bare) + np.abs(eps * x[_PAIR_RE])
+            largest = np.max(np.abs(base[0]) @ np.abs(x) + coupling
+                             @ (np.abs(_coupling_basis()) @ np.abs(x)))
+            diff = np.abs(_affine_rhs(p, drive)(0.0, x) - ref)
+            assert np.max(diff) <= 4 * np.finfo(float).eps * largest
+        # derived eps vanish only where every dipole does
+        assert local_field == 0 if mode == "ndd_off" else local_field >= 36
+
     def test_csv_round_values(self, params, tmp_path):
         drive = hfs.Drive(omega=1.0)
         traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=2.0,
@@ -83,6 +118,59 @@ class TestEvolve:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0
         assert first[1] == 1.0          # rho11 at t=0
+
+    def test_csv_bytes_match_row_oracle(self, params, tmp_path):
+        traj = hfs.evolve(params, hfs.Drive(omega=2.0, ndd_enabled=True),
+                          hfs.ground_state(), t_end=3.0)
+        odd = np.array([-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, 0.1])
+        rho = np.resize(odd, (len(odd), 4, 4)) * (1 + 2j)
+        for tr in (traj, Trajectory(t=odd.copy(), rho=rho)):
+            write_trajectory_csv(tr, tmp_path / "new.csv")
+            write_rows(tr, tmp_path / "rows.csv")
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "rows.csv").read_bytes())
+
+    def test_cli_output_bytes(self, tmp_path, monkeypatch):
+        # `hfs evolve --output` writes the trajectory it integrated with
+        # the same bytes as the row-at-a-time writer
+        seen = []
+
+        def kept(*args, **kwargs):
+            seen.append(hfs.evolve(*args, **kwargs))
+            return seen[-1]
+        monkeypatch.setattr(hfs.cli, "evolve", kept)
+        out = tmp_path / "traj.csv"
+        assert run_cli(["evolve", "--set", "drive.omega=2.0", "--ndd", "on",
+                        "--t-end", "3.0", "--output", str(out)]) == 0
+        write_rows(seen[0], tmp_path / "rows.csv")
+        assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def write_rows(traj, path):
+    """The trajectory CSV written one f-string per value, row by row: the
+    byte oracle of ``write_trajectory_csv``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(TRAJECTORY_CSV_HEADER + "\n")
+        for t, x in zip(traj.t, pack(np.moveaxis(traj.rho, 0, -1)).T):
+            fh.write(",".join(f"{v:.17g}" for v in (t, *x)) + "\n")
+
+
+def relax_per_chunk_expm(params, drive, residual_tol, t_max):
+    """Relaxation from the ground state with one ``scipy.linalg.expm(A*dt)``
+    per chunk of a fixed generator, stopped by ``residual_norm``: the
+    oracle of the squared propagators.  Returns ``(rho, iterations)``."""
+    a = generator_matrix(params, drive, bare_rabi(params, drive))
+    x = pack(hfs.ground_state())
+    t, chunk, iterations = 0.0, 1.0, 0
+    while t < t_max:
+        dt = min(chunk, t_max - t)
+        x = scipy.linalg.expm(a * dt) @ x
+        t += dt
+        chunk *= 2.0
+        iterations += 1
+        if hfs.residual_norm(params, drive, unpack(x)) < residual_tol:
+            break
+    return unpack(x), iterations
 
 
 class TestRelaxToSteady:
@@ -131,6 +219,73 @@ class TestRelaxToSteady:
         assert not res.converged
         assert "tolerance" in res.message
 
-    def test_unknown_method(self, params):
-        with pytest.raises(ValueError):
-            hfs.relax_to_steady(params, hfs.Drive(omega=1.0), method="euler")
+    @staticmethod
+    def count_expm(monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(a):
+            calls.append(a)
+            return expm(a)
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return calls
+
+    @pytest.mark.parametrize("drive_kw", [
+        dict(omega=0.5, delta_c=0.3),
+        dict(omega=5.0, delta_c=12.0),
+        dict(omega=20.0, delta_c=-25.0),
+        # the correction on with every eps zero: the generator is fixed
+        dict(omega=5.0, delta_c=-8.0, ndd_enabled=True,
+             epsilon=dict.fromkeys(PAIRS, 0.0)),
+    ])
+    def test_squared_propagators_match_per_chunk_expm(self, params,
+                                                      monkeypatch, drive_kw):
+        drive = hfs.Drive(**drive_kw)
+        ref, iterations = relax_per_chunk_expm(params, drive, 1e-9, 1e8)
+        calls = self.count_expm(monkeypatch)
+        res = hfs.relax_to_steady(params, drive, residual_tol=1e-9,
+                                  t_max=1e8)
+        assert res.converged and res.iterations == iterations > 5
+        assert len(calls) == 1
+        assert np.max(np.abs(res.rho - ref)) < 1e-10
+
+    def test_truncated_last_chunk(self, params, monkeypatch):
+        # chunks 1, 2, ..., 32 reach t = 63; the seventh is cut to 37
+        drive = hfs.Drive(omega=0.2, delta_c=2.0 * params.delta_u)
+        ref, iterations = relax_per_chunk_expm(params, drive, 1e-13, 100.0)
+        calls = self.count_expm(monkeypatch)
+        res = hfs.relax_to_steady(params, drive, residual_tol=1e-13,
+                                  t_max=100.0)
+        assert not res.converged and res.iterations == iterations == 7
+        assert len(calls) == 2
+        assert np.max(np.abs(res.rho - ref)) < 1e-10
+
+    def test_ndd_on_one_expm_per_chunk(self, params, monkeypatch):
+        drive = hfs.Drive(omega=5.0, delta_c=12.0, ndd_enabled=True)
+        calls = self.count_expm(monkeypatch)
+        res = hfs.relax_to_steady(params, drive)
+        assert res.converged and len(calls) == res.iterations > 5
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        # arguments are checked before the generator is built
+        def never(*args):
+            raise AssertionError("generator built")
+        monkeypatch.setattr(hfs.dynamics, "_affine_split", never)
+
+    def test_unknown_method(self, params, no_work):
+        # also where the state is already steady or the drive is zero, so
+        # that no chunk would run
+        drive = hfs.Drive(omega=5.0, delta_c=12.0)
+        steady = hfs.solve_selfconsistent(params, drive).rho
+        for d, rho0 in ((hfs.Drive(omega=1.0), None), (drive, steady),
+                        (hfs.Drive(omega=0.0), None)):
+            with pytest.raises(ValueError, match="unknown relaxation method"):
+                hfs.relax_to_steady(params, d, rho0=rho0, method="euler")
+
+    @pytest.mark.parametrize("name", ["residual_tol", "t_max"])
+    def test_invalid_limits(self, params, no_work, name):
+        for value in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=name):
+                hfs.relax_to_steady(params, hfs.Drive(omega=1.0),
+                                    **{name: value})
