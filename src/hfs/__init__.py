@@ -9,7 +9,6 @@ from .model import (hamiltonian, rhs_oracle, rhs_verbatim,
 from .steady import (SingularSystem, SolveOptions, SteadyResult,
                      residual_norm, solve_grid, solve_linear_steady,
                      solve_selfconsistent)
-from .dynamics import Trajectory, evolve, relax_to_steady
 from .optics import (group_index_profile, population_transfer,
                      refractive_index, susceptibility)
 from .sweep import SpectrumTable, SweepSpec, run_sweep, summarize
@@ -28,3 +27,19 @@ __all__ = [
     "population_transfer", "refractive_index", "susceptibility",
     "SpectrumTable", "SweepSpec", "run_sweep", "summarize",
 ]
+
+# the dynamics layer needs scipy, which the steady layer never uses: it is
+# imported on first access (PEP 562) and looked up on every access, so that
+# ``hfs.evolve`` is always ``hfs.dynamics.evolve``
+_DYNAMICS = frozenset({"Trajectory", "evolve", "relax_to_steady"})
+
+
+def __getattr__(name):
+    if name in _DYNAMICS:
+        from . import dynamics
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _DYNAMICS)

@@ -14,7 +14,6 @@ import sys
 
 from . import identities, sweep as sweep_mod
 from .config import ConfigDocument, ConfigError, parse_config
-from .dynamics import evolve, write_trajectory_csv
 from .model import STATE_COLUMNS, ground_state, pack
 from .steady import SingularSystem, solve_selfconsistent
 
@@ -128,6 +127,7 @@ def _cmd_evolve(args) -> int:
         print(f"usage error: --t-end must be positive and finite, "
               f"got {args.t_end!r}", file=sys.stderr)
         return 2
+    from .dynamics import evolve, write_trajectory_csv
     doc = _load_document(args)
     params = doc.system_params()
     drive = doc.drive(params)
@@ -209,3 +209,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

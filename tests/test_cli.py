@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hfs
 from hfs.cli import _build_parser, run_cli
 
 HELP_TEXT = """\
@@ -35,6 +39,20 @@ omega_list = 0.5, 5.0
 
 def test_help_text_frozen(capsys):
     assert _build_parser().format_help() == HELP_TEXT
+
+
+def test_python_dash_m():
+    # `python -m hfs.cli` runs the CLI, with its usage-error exit code
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hfs.cli", *argv],
+                              cwd=Path(hfs.__file__).resolve().parents[1],
+                              capture_output=True, text=True)
+    proc = run("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hfs [-h] {steady,evolve,sweep,")
+    proc = run("bogus")
+    assert proc.returncode == 2
+    assert "invalid choice: 'bogus'" in proc.stderr
 
 
 class TestSteady:

@@ -133,12 +133,12 @@ class TestEvolve:
     def test_cli_output_bytes(self, tmp_path, monkeypatch):
         # `hfs evolve --output` writes the trajectory it integrated with
         # the same bytes as the row-at-a-time writer
-        seen = []
+        seen, evolve = [], hfs.dynamics.evolve
 
         def kept(*args, **kwargs):
-            seen.append(hfs.evolve(*args, **kwargs))
+            seen.append(evolve(*args, **kwargs))
             return seen[-1]
-        monkeypatch.setattr(hfs.cli, "evolve", kept)
+        monkeypatch.setattr(hfs.dynamics, "evolve", kept)
         out = tmp_path / "traj.csv"
         assert run_cli(["evolve", "--set", "drive.omega=2.0", "--ndd", "on",
                         "--t-end", "3.0", "--output", str(out)]) == 0

@@ -407,20 +407,37 @@ def test_steady_states_on_random_drives(params):
         assert rep.ok
 
 
-def test_steady_layer_imports_without_scipy():
-    # the steady states, sweeps, identities and config need numpy alone;
-    # the package is stubbed so that its __init__ (which loads dynamics,
-    # and so scipy) does not run
+def test_steady_layer_imports_without_scipy(tmp_path):
+    # the steady states, sweeps, identities and config need numpy alone:
+    # `import hfs`, `import hfs.cli` and the steady, sweep and validate
+    # subcommands run with scipy blocked and leave no scipy module loaded
+    src = Path(hfs.__file__).resolve().parents[1]
+    config = str(src.parent / "demos" / "sweep.cfg")
     code = "\n".join((
-        "import sys, types",
+        "import sys",
         "sys.modules['scipy'] = None",
-        "pkg = types.ModuleType('hfs')",
-        f"pkg.__path__ = [{str(Path(hfs.__file__).parent)!r}]",
-        "sys.modules['hfs'] = pkg",
-        "for name in ('params', 'model', 'steady', 'optics', 'sweep',",
-        "             'identities', 'config'):",
-        "    __import__('hfs.' + name)",
+        f"sys.path.insert(0, {str(src)!r})",
+        "import hfs, hfs.cli",
+        f"assert hfs.cli.run_cli(['steady', '--config', {config!r}]) == 0",
+        f"assert hfs.cli.run_cli(['sweep', '--config', {config!r},",
+        f"    '--output', {str(tmp_path / 'grid.csv')!r}]) == 0",
+        f"assert hfs.cli.run_cli(['validate', '--config', {config!r}]) == 0",
+        "loaded = [n for n, m in sys.modules.items() if m is not None",
+        "          and (n == 'scipy' or n.startswith('scipy.'))]",
+        "assert not loaded, loaded",
     ))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dynamics_names_load_on_first_use():
+    import hfs.dynamics
+    for name in ("Trajectory", "evolve", "relax_to_steady"):
+        assert getattr(hfs, name) is getattr(hfs.dynamics, name)
+        assert name in dir(hfs)
+    namespace = {}
+    exec("from hfs import *", namespace)
+    assert all(namespace[name] is getattr(hfs, name) for name in hfs.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hfs.no_such_name
