@@ -127,11 +127,15 @@ def _cmd_evolve(args) -> int:
         print(f"usage error: --t-end must be positive and finite, "
               f"got {args.t_end!r}", file=sys.stderr)
         return 2
-    from .dynamics import evolve, write_trajectory_csv
+    from .dynamics import StepSizeUnderflow, evolve, write_trajectory_csv
     doc = _load_document(args)
     params = doc.system_params()
     drive = doc.drive(params)
-    traj = evolve(params, drive, ground_state(), t_end=args.t_end)
+    try:
+        traj = evolve(params, drive, ground_state(), t_end=args.t_end)
+    except StepSizeUnderflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rho = traj.final
     print(f"samples: {len(traj)}  t_end: {traj.t[-1]:.6g}")
     for i in range(4):

@@ -4,14 +4,17 @@ At a fixed Rabi set the equations of motion are linear in the 16 real state
 components, so the steady state is a direct linear solve with one population
 row traded for the unit-trace constraint.  The generator is affine in the
 detuning and the couplings,
-``A = A(0) + delta * A_delta + sum_q rabi_q * B_q``, so a detuning axis at
-one drive is a single ``(N, 16, 16)`` stack solved by batched LU, and one
-drive is the one-point stack.  With the local-field correction enabled the
-four effective couplings depend on Re(rho_ij), and the steady state is a
-fixed point in those couplings.  It is found by Newton's method on the
-couplings, in lockstep over the stack, whose 4x4 Jacobians come from
-differentiating the linear solve; a point whose Newton step fails to make
-progress continues by a damped Picard iteration.
+``A = A(0) + delta * A_delta + sum_q rabi_q * B_q``, and the generator at
+zero detuning is linear in the decay rates and splittings,
+``A(0) = sum_k p_k * R_k``.  The bases ``R``, ``A_delta`` and ``B`` are
+constants, built once per process from ``rhs_verbatim``, so no solve calls
+it.  A detuning axis at one drive is a single ``(N, 16, 16)`` stack solved
+by batched LU, and one drive is the one-point stack.  With the local-field
+correction enabled the four effective couplings depend on Re(rho_ij), and
+the steady state is a fixed point in those couplings.  It is found by
+Newton's method on the couplings, in lockstep over the stack, whose 4x4
+Jacobians come from differentiating the linear solve; a point whose Newton
+step fails to make progress continues by a damped Picard iteration.
 
 :func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
 one drive, both through :func:`_solve_axis`.  The independent checks of the
@@ -108,6 +111,18 @@ def _couplings(rabi: RabiSet) -> np.ndarray:
     return np.array([rabi.o13, rabi.o14, rabi.o23, rabi.o24])
 
 
+def _difference_basis(reference: tuple, changes: list) -> np.ndarray:
+    """Read-only stack of ``generator_matrix(*c) - generator_matrix(*ref)``.
+
+    ``reference`` and each of ``changes`` are ``(params, drive, rabi)``
+    arguments of :func:`generator_matrix`.
+    """
+    a_ref = generator_matrix(*reference)
+    basis = np.stack([generator_matrix(*c) - a_ref for c in changes])
+    basis.flags.writeable = False
+    return basis
+
+
 @functools.cache
 def _coupling_basis() -> np.ndarray:
     """(4, 16, 16) stack B with A(rabi) = A(0) + sum_q rabi_q * B[q].
@@ -117,11 +132,8 @@ def _coupling_basis() -> np.ndarray:
     the split is exact.  Built once from :func:`generator_matrix`, read-only.
     """
     params, drive = SystemParams(), Drive(omega=0.0)
-    a0 = generator_matrix(params, drive, _NO_COUPLING)
-    basis = np.stack([generator_matrix(params, drive, RabiSet(*e)) - a0
-                      for e in np.eye(4)])
-    basis.flags.writeable = False
-    return basis
+    return _difference_basis((params, drive, _NO_COUPLING),
+                             [(params, drive, RabiSet(*e)) for e in np.eye(4)])
 
 
 @functools.cache
@@ -135,25 +147,50 @@ def _detuning_basis() -> np.ndarray:
     read-only.
     """
     params = SystemParams(delta_g=1.0, delta_e=1.0)
-    basis = (generator_matrix(params, Drive(omega=0.0), _NO_COUPLING)
-             - generator_matrix(params, Drive(omega=0.0, delta_c=-1.0),
-                                _NO_COUPLING))
-    basis.flags.writeable = False
-    return basis
+    return _difference_basis(
+        (params, Drive(omega=0.0, delta_c=-1.0), _NO_COUPLING),
+        [(params, Drive(omega=0.0), _NO_COUPLING)])[0]
+
+
+#: the parameters A(0) is linear in, in the order of :func:`_rate_basis`
+_RATES = ("gamma31", "gamma32", "gamma41", "gamma42", "delta_g", "delta_e")
+
+
+@functools.cache
+def _rate_basis() -> np.ndarray:
+    """(6, 16, 16) stack R with A(0) = sum_k p_k * R[k] over ``_RATES``.
+
+    At zero detuning and without couplings the generator is linear in the
+    four decay rates and the two splittings, with pure-number coefficients.
+    R is built from :func:`generator_matrix` at ``delta_c = -delta_u``,
+    where the detuning is exactly 0, as the differences from a reference
+    with all rates 0 and unit splittings when one rate is raised to 1 or one
+    splitting to 2, so every entry is exact; read-only.
+    """
+    ref = SystemParams(gamma31=0.0, gamma32=0.0, gamma41=0.0, gamma42=0.0,
+                       delta_g=1.0, delta_e=1.0)
+
+    def at_zero_detuning(params):
+        return params, Drive(omega=0.0, delta_c=-params.delta_u), _NO_COUPLING
+
+    return _difference_basis(
+        at_zero_detuning(ref),
+        [at_zero_detuning(ref.replace(**{k: getattr(ref, k) + 1.0}))
+         for k in _RATES])
 
 
 def _detuning_stack(params: SystemParams, delta_c: np.ndarray) -> np.ndarray:
     """(N, 16, 16) generators without couplings at the detunings ``delta_c``.
 
-    ``A(0)`` comes from :func:`generator_matrix` at ``delta_c = -delta_u``,
-    where the detuning is exactly 0.  An entry matches
-    :func:`generator_matrix` at the same detuning exactly or, where that
-    build subtracts both splittings from the detuning, to rounding.
+    ``A(0)`` is the rates and splittings of ``params`` contracted with
+    :func:`_rate_basis`, and the detuning adds ``delta * A_delta``.  An
+    entry matches :func:`generator_matrix` at the same detuning exactly or,
+    where either build adds rates or splittings together, to rounding.
     """
-    a0 = generator_matrix(params, Drive(omega=0.0, delta_c=-params.delta_u),
-                          _NO_COUPLING)
+    rates = [getattr(params, k) for k in _RATES]
+    a0 = np.dot(rates, _rate_basis().reshape(len(_RATES), -1))
     delta = np.asarray(delta_c, dtype=float) + params.delta_u
-    return a0 + delta[:, None, None] * _detuning_basis()
+    return a0.reshape(16, 16) + delta[:, None, None] * _detuning_basis()
 
 
 def _affine_split(params: SystemParams, drive: Drive, delta_c: np.ndarray):

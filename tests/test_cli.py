@@ -100,6 +100,20 @@ class TestEvolve:
         assert lines[0].startswith("t,rho11")
         assert len(lines) > 2
 
+    def test_integrator_failure_exit_code(self, capsys, tmp_path,
+                                          monkeypatch):
+        # an integrator failure is a solver failure: one error line, exit 1
+        import hfs.dynamics
+
+        def underflow(*args, **kwargs):
+            raise hfs.dynamics.StepSizeUnderflow(1.25)
+        monkeypatch.setattr(hfs.dynamics, "evolve", underflow)
+        out = tmp_path / "traj.csv"
+        assert run_cli(["evolve", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: integrator step size underflow "
+                                "at t = 1.25\n")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf"])
     def test_bad_t_end_exit_code(self, capsys, tmp_path, t_end):

@@ -235,6 +235,19 @@ def random_params(rng, dark=None):
     return p.replace(**dict.fromkeys(_LEVEL_LINKS.get(dark, ()), 0.0))
 
 
+CONFIG = Path(__file__).resolve().parents[1] / "demos" / "sweep.cfg"
+
+
+def generator_build_stack(p, grid):
+    """Coupling-free generators at ``grid`` with A(0) built by
+    ``generator_matrix`` at zero detuning: the oracle of the rate basis."""
+    from hfs.steady import _NO_COUPLING, _detuning_basis
+    a0 = generator_matrix(p, hfs.Drive(omega=0.0, delta_c=-p.delta_u),
+                          _NO_COUPLING)
+    delta = np.asarray(grid) + p.delta_u
+    return a0 + delta[:, None, None] * _detuning_basis()
+
+
 class TestGrid:
     """The stacked solver against independent oracles, and its fallbacks
     against its own undisturbed stack."""
@@ -310,6 +323,43 @@ class TestGrid:
                 ref = generator_matrix(p, drive, RabiSet(*r))
                 scale = max(abs(drive.delta(p)), p.delta_g + p.delta_e)
                 assert np.max(np.abs(a - ref)) <= 4 * np.spacing(scale)
+
+    def test_rate_basis_is_constant_and_read_only(self):
+        from hfs.steady import _rate_basis
+        basis = _rate_basis()
+        assert basis.shape == (6, 16, 16) and not basis.flags.writeable
+        assert _rate_basis() is basis
+        # every entry is exact: a decay or splitting coefficient, or half one
+        assert set(np.unique(basis)) == {-1.0, -0.5, 0.0, 1.0}
+
+    @pytest.mark.parametrize("which", ["sodium_d1", "cyclic", "sweep_cfg"])
+    def test_detuning_stack_matches_generator_build_exactly(self, which):
+        # the generator at zero detuning from the rate basis equals the one
+        # rhs_verbatim builds, bit for bit, on the parameter sets behind the
+        # paper grids; this keeps the sweep tables' bytes
+        from hfs.config import parse_config
+        from hfs.steady import _detuning_stack
+        doc = parse_config(CONFIG.read_text())
+        p = {"sodium_d1": hfs.sodium_d1(),
+             "cyclic": hfs.sodium_d1_cyclic_splittings(),
+             "sweep_cfg": doc.system_params()}[which]
+        grid = np.asarray(doc.sweep_spec(p).delta_c)
+        assert len(grid) == 2001
+        assert np.array_equal(_detuning_stack(p, grid),
+                              generator_build_stack(p, grid))
+
+    def test_detuning_stack_round_off_on_random_params(self):
+        # with rates and splittings summed in another order the two builds
+        # may differ, by round-off of the detuning scale only
+        from hfs.steady import _detuning_stack
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            p = random_params(rng, dark=rng.choice([None, 2, 3, 4]))
+            grid = rng.uniform(-5.0, 5.0, 8) * p.delta_u
+            scale = max(np.max(np.abs(grid + p.delta_u)),
+                        p.delta_g + p.delta_e)
+            diff = _detuning_stack(p, grid) - generator_build_stack(p, grid)
+            assert np.max(np.abs(diff)) <= 4 * np.spacing(scale)
 
     def test_nonfinite_step_falls_back_to_picard(self, params, monkeypatch):
         # the first point's first lockstep step is not finite: that point
@@ -405,6 +455,34 @@ def test_steady_states_on_random_drives(params):
         assert res.converged
         rep = hfs.validate_density_matrix(res.rho, tol=1e-8)
         assert rep.ok
+
+
+def test_no_per_call_path_runs_rhs_verbatim(params, monkeypatch):
+    # once the constant bases exist, no solve, relaxation or evolution
+    # calls rhs_verbatim: every generator comes from the affine split
+    hfs.solve_selfconsistent(params, hfs.Drive(omega=5.0, ndd_enabled=True))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rhs_verbatim called on a per-call path")
+    monkeypatch.setattr(hfs.steady, "rhs_verbatim", forbidden)
+    monkeypatch.setattr(hfs.model, "rhs_verbatim", forbidden)
+
+    grid = np.linspace(-1.0, 1.0, 5) * params.delta_u
+    for ndd in (False, True):
+        drive = hfs.Drive(omega=5.0, delta_c=0.3 * params.delta_u,
+                          ndd_enabled=ndd)
+        assert hfs.solve_selfconsistent(params, drive).converged
+        assert hfs.solve_grid(params, 5.0, grid, ndd).converged.all()
+        assert hfs.relax_to_steady(params, drive).converged
+        assert len(hfs.evolve(params, drive, hfs.ground_state(), 1.0)) > 1
+    drive = hfs.Drive(omega=5.0, delta_c=0.3 * params.delta_u)
+    hfs.solve_linear_steady(params, drive, bare_rabi(params, drive))
+    from hfs.identities import two_level_oracle_check
+    assert two_level_oracle_check(omegas=(0.5, 2.0), deltas=(-1.0, 0.5)).passed
+    other = params.replace(gamma31=0.3, gamma32=1.7, gamma41=0.0,
+                           gamma42=2.5, delta_g=40.0, delta_e=7.0)
+    assert hfs.solve_selfconsistent(
+        other, hfs.Drive(omega=3.0, ndd_enabled=True)).converged
 
 
 def test_steady_layer_imports_without_scipy(tmp_path):
