@@ -13,8 +13,11 @@ by batched LU, and one drive is the one-point stack.  With the local-field
 correction enabled the four effective couplings depend on Re(rho_ij), and
 the steady state is a fixed point in those couplings.  It is found by
 Newton's method on the couplings, in lockstep over the stack, whose 4x4
-Jacobians come from differentiating the linear solve; a point whose Newton
-step fails to make progress continues by a damped Picard iteration.
+Jacobians come from differentiating the linear solve: the sensitivities
+share one batched solve with the refinement step, so each iterate factors
+its matrices twice.  A point that settles returns its last Newton solve; a
+point whose Newton step fails to make progress continues by a damped Picard
+iteration, and a clean solve follows at the couplings it reaches.
 
 :func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
 one drive, both through :func:`_solve_axis`.  The independent checks of the
@@ -244,20 +247,15 @@ def _rho_max_abs(x: np.ndarray) -> np.ndarray:
                       np.hypot(x[..., 4::2], x[..., 5::2]).max(axis=-1))
 
 
-def _newton_step(x: np.ndarray, m: np.ndarray, kept: np.ndarray,
-                 eps: np.ndarray,
+def _newton_step(dx: np.ndarray, eps: np.ndarray,
                  fixed_point_residual: np.ndarray) -> np.ndarray:
-    """Newton correction to the couplings from the solution ``x`` at them.
+    """Newton correction to the couplings from the sensitivities ``dx``.
 
-    Differentiating M x = b gives dx/drabi_q = -M^-1 B~_q x, where B~_q is
-    the coupling matrix with the replaced and pinned rows zeroed.  The
-    fixed-point map's Jacobian is then I + diag(eps) dRe(x_p)/drabi_q.
+    ``dx`` holds dx/drabi_q, (..., 16, 4), as :func:`_solve_stack` returns
+    them; the fixed-point map's Jacobian is I + diag(eps) dRe(x_p)/drabi_q.
     Takes a stack (leading axes on every argument but ``eps``).  Raises
-    ``LinAlgError`` when any matrix is singular.
+    ``LinAlgError`` when any Jacobian is singular.
     """
-    bx = np.swapaxes(np.tensordot(x, _coupling_basis(), axes=(-1, -1)),
-                     -1, -2)
-    dx = -np.linalg.solve(m, np.where(kept[..., None], bx, 0.0))
     jac = np.eye(4) + eps[:, None] * dx[..., _PAIR_RE, :]
     return np.linalg.solve(jac, fixed_point_residual[..., None])[..., 0]
 
@@ -281,8 +279,7 @@ class GridSolution:
 
 def _with_couplings(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
     """Generators from a coupling-free stack and couplings (4,) or (N, 4)."""
-    # the product np.tensordot(rabi, basis, axes=1) forms, without its
-    # Python overhead
+    # sum_q rabi_q * B[q] as one matmul against the flat (4, 256) basis
     per_point = np.dot(rabi.reshape(-1, 4), _coupling_basis().reshape(4, -1))
     return base + per_point.reshape(rabi.shape[:-1] + (16, 16))
 
@@ -292,30 +289,46 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[..., None])[..., 0]
 
 
-def _solve_stack(base: np.ndarray, rabi: np.ndarray):
+def _solve_stack(base: np.ndarray, rabi: np.ndarray,
+                 sensitivities: bool = False):
     """The steady-state systems of a generator stack, solved together.
 
     ``base`` holds the (N, 16, 16) generators without couplings and ``rabi``
-    the couplings, (4,) or (N, 4).  Returns ``(x, a, m, kept, ok)``: the
-    packed solutions, the generators, the system matrices and kept-row masks
-    of :func:`_system_rows`, and the points whose solve is usable (couplings
-    not all zero, solution finite).  ``x`` is zero where ``ok`` is False.
-    One exactly singular matrix fails the whole batched solve, and then no
-    point is usable.
+    the couplings, (4,) or (N, 4).  Returns ``(x, a, m, ok, dx)``: the
+    packed solutions, the generators, the system matrices of
+    :func:`_system_rows`, the points whose solve is usable (couplings not
+    all zero, solution finite), and ``dx``, None unless ``sensitivities``.
+    ``x`` is zero where ``ok`` is False.  One exactly singular matrix fails
+    the whole batched solve, and then no point is usable.
+
+    One step of iterative refinement keeps the residual near round-off.
+    With ``sensitivities`` the same solve also gives dx/drabi_q =
+    -M^-1 B~_q x, (N, 16, 4), from differentiating M x = b: B~_q is the
+    coupling matrix with the replaced and pinned rows zeroed, and x the
+    solution before its refinement step.  ``dx`` means nothing where ``ok``
+    is False.
     """
     a = _with_couplings(base, rabi)
     m, kept = _system_rows(a)
+    n = len(a)
     try:
         x = np.linalg.solve(m, _TRACE_RHS[:, None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.zeros((len(a), 16)), a, m, kept, np.zeros(len(a), bool)
+        return np.zeros((n, 16)), a, m, np.zeros(n, bool), None
     ok = np.isfinite(x).all(axis=-1) & (rabi != 0.0).any(axis=-1)
     x[~ok] = 0.0
-    # one step of iterative refinement keeps the residual near round-off
-    x += np.linalg.solve(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
+    rhs = (_TRACE_RHS - _apply(m, x))[..., None]
+    if sensitivities:
+        # the rows (B_q x)_i, from the flat (64, 16) basis, as columns q
+        bx = (x @ _coupling_basis().reshape(64, 16).T).reshape(n, 4, 16)
+        rhs = np.concatenate(
+            [rhs, np.where(kept[:, None, :], bx, 0.0).swapaxes(-1, -2)],
+            axis=-1)
+    step = np.linalg.solve(m, rhs)
+    x += step[..., 0]
     ok &= np.isfinite(x).all(axis=-1)
     x[~ok] = 0.0
-    return x, a, m, kept, ok
+    return x, a, m, ok, (-step[..., 1:] if sensitivities else None)
 
 
 def _gate(resid: np.ndarray) -> np.ndarray:
@@ -338,7 +351,7 @@ def _solve_one(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
     The solution must pass the residual gate on its generator; otherwise,
     or when the solve is not usable, raises :class:`SingularSystem`.
     """
-    x, a, m, _, ok = _solve_stack(base, rabi)
+    x, a, m, ok, _ = _solve_stack(base, rabi)
     if not (ok[0] and _gate(_apply(a, x))[0]):
         raise _singular(rabi, m[0])
     return x[0]
@@ -390,7 +403,7 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     """
     n = len(base)
     rabi = np.tile(bare, (n, 1))
-    x, _, m, kept, ok = _solve_stack(base, rabi)
+    x, _, m, ok, dx = _solve_stack(base, rabi, sensitivities=True)
     failed = ~ok
     stalled = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=int)
@@ -407,7 +420,7 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         if not live.size:
             break
         try:
-            step = _newton_step(x[live], m[live], kept[live], eps, fp_resid)
+            step = _newton_step(dx[live], eps, fp_resid)
         except np.linalg.LinAlgError:
             if live.size > 1:
                 # one singular Jacobian fails the batch, not every point
@@ -417,9 +430,11 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         finite = np.all(np.isfinite(step), axis=-1)
         stalled[live[~finite]] = True
         live, step = live[finite], step[finite]
+        if not live.size:
+            break
         rabi[live] -= step
-        x_new, _, m[live], kept[live], ok = _solve_stack(base[live],
-                                                         rabi[live])
+        x_new, _, m[live], ok, dx[live] = _solve_stack(
+            base[live], rabi[live], sensitivities=True)
         failed[live[~ok]] = True
         iterations[live] += 1
         converged[live] = ok & (_rho_max_abs(x_new - x[live]) < opts.fp_tol)
@@ -429,15 +444,24 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     return x, m, converged, iterations, stalled, failed
 
 
+def _own_residual(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """Packed residuals (N, 16) of states ``x`` at their own couplings."""
+    return _apply(_with_couplings(base, bare - eps * x[:, _PAIR_RE]), x)
+
+
 def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
                 opts: SolveOptions):
     """Steady states of ``drive`` at the detunings ``delta_c``, one stack.
 
     ``drive.delta_c`` is not read.  With the local-field correction, Newton
-    runs in lockstep from the bare couplings, a stalled point continues by
-    :func:`_picard` from its last iterate, and a clean solve follows at the
-    couplings reached.  The final solve is gated on the residual of its
-    generator; ``residual`` is taken at the couplings of the state returned.
+    runs in lockstep from the bare couplings.  A point it settles returns
+    its last Newton solve, gated on the residual of the generator at that
+    state's own couplings; one that fails the gate is not settled.  Every
+    other point (continued by :func:`_picard` from its last iterate after a
+    stalled step, or out of iterations) gets a clean solve at the couplings
+    reached, gated on the residual of its generator.  ``residual`` is taken
+    at the couplings of the state returned.
     Returns ``(x, converged, iterations, residual, failed, m)``, ``failed``
     marking the points not settled (their other fields mean nothing) and
     ``m`` holding each point's last system matrix.
@@ -446,13 +470,14 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
     n = len(base)
 
     if not np.any(eps != 0.0):
-        x, a, m, _, ok = _solve_stack(base, bare)
+        x, a, m, ok, _ = _solve_stack(base, bare)
         resid = _apply(a, x)
         return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),
                 _rho_max_abs(resid), ~(ok & _gate(resid)), m)
 
     x, m, converged, iterations, stalled, failed = _lockstep_newton(
         base, bare, eps, opts)
+    settled = converged & ~stalled
     for k in np.flatnonzero(stalled):
         try:
             x[k], converged[k], iterations[k] = _picard(
@@ -460,16 +485,21 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
         except SingularSystem:
             failed[k] = True
 
-    # the clean solve at the couplings reached
+    # a settled point returns its last Newton solve, gated at its own
+    # couplings; every other point is solved cleanly at the couplings reached
     live = np.flatnonzero(~failed)
-    x_live, a, m[live], _, ok = _solve_stack(
-        base[live], bare - eps * x[live][:, _PAIR_RE])
-    ok &= _gate(_apply(a, x_live))
-    # the residual is taken at the couplings of the state returned
-    a = _with_couplings(base[live], bare - eps * x_live[:, _PAIR_RE])
+    resid = _own_residual(base[live], bare, eps, x[live])
+    keep = settled[live]
+    failed[live[keep & ~_gate(resid)]] = True
+    redo = live[~keep]
+    if redo.size:
+        x_redo, a, m[redo], ok, _ = _solve_stack(
+            base[redo], bare - eps * x[redo][:, _PAIR_RE])
+        failed[redo[~(ok & _gate(_apply(a, x_redo)))]] = True
+        x[redo] = x_redo
+        resid[~keep] = _own_residual(base[redo], bare, eps, x_redo)
     residual = np.full(n, np.nan)
-    x[live], residual[live] = x_live, _rho_max_abs(_apply(a, x_live))
-    failed[live[~ok]] = True
+    residual[live] = _rho_max_abs(resid)
     return x, converged, iterations, residual, failed, m
 
 
@@ -493,9 +523,10 @@ def solve_selfconsistent(params: SystemParams, drive: Drive,
     couplings runs until the max-abs change in rho between successive
     solves drops below ``fp_tol``; where a Newton step fails to make
     progress, the damped Picard iteration continues from the last iterate.
-    The last step is a plain solve at the final Rabi set, so the returned
-    rho satisfies the equations to round-off.  Raises
-    :class:`SingularSystem` where the steady state is not unique.
+    The returned rho is the last solve, at a Rabi set that reproduces
+    itself to within the last Newton step, so it satisfies the
+    self-consistent equations to round-off.  Raises :class:`SingularSystem`
+    where the steady state is not unique.
     """
     opts = opts or SolveOptions()
     x, converged, iterations, residual = _solve_point(params, drive,

@@ -182,3 +182,14 @@ def test_criterion_10_determinism(params, spec, table, tmp_path):
     p2 = tmp_path / "again.csv"
     write_csv(run_sweep(params, spec), p2)
     assert p2.read_bytes() == p_ref.read_bytes(), "CSV differs on rerun"
+
+
+def test_criterion_10_determinism_ndd_on(params, tmp_path):
+    # the Newton fixed point, on a coarser paper grid, repeats bytewise too
+    spec = SweepSpec.paper_grid(params, count=201, span_delta_u=5.0,
+                                omegas=OMEGAS, ndd=True)
+    paths = [tmp_path / "ref.csv", tmp_path / "again.csv"]
+    for path in paths:
+        write_csv(run_sweep(params, spec), path)
+    assert paths[1].read_bytes() == paths[0].read_bytes(), \
+        "NDD-on CSV differs on rerun"

@@ -112,6 +112,39 @@ class TestTwoLevel:
         assert rep.passed
         assert rep.max_residual < 1e-12
 
+    def test_oracle_solves_one_grid_stack_per_omega(self, monkeypatch):
+        # the production solver, one stack per omega, gives the residuals
+        # of one-point linear solves at every (omega, delta)
+        from hfs.params import bare_rabi
+        omegas, deltas = (0.25, 1.0, 5.0), (-4.0, 0.0, 0.5, 2.0)
+        p = two_level_reduction()
+        pointwise = []
+        for om in omegas:
+            for de in deltas:
+                drive = hfs.Drive(omega=om,
+                                  delta_c=de + p.delta_g - p.delta_u)
+                rho = hfs.solve_linear_steady(p, drive, bare_rabi(p, drive))
+                r33, r31 = two_level_steady(om, de)
+                pointwise += [abs(rho[2, 2].real - r33), abs(rho[2, 0] - r31)]
+        solve_grid, stacks = identities.solve_grid, []
+
+        def counted(params, omega, delta_c, *args, **kwargs):
+            stacks.append((omega, len(delta_c)))
+            return solve_grid(params, omega, delta_c, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "solve_grid", counted)
+        rep = two_level_oracle_check(omegas, deltas)
+        assert stacks == [(om, len(deltas)) for om in omegas]
+        assert rep.passed and rep.n_points == len(pointwise)
+        assert rep.max_residual == pytest.approx(max(pointwise), abs=1e-16)
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_point_fails_the_report(self):
+        # zero drive leaves no unique steady state: reported, not raised
+        rep = two_level_oracle_check(omegas=(0.0, 1.0), deltas=(-1.0, 2.0))
+        assert not rep.passed
+        assert rep.n_points == 8
+
 
 def test_report_serialization(tmp_path, params):
     drive = hfs.Drive(omega=5.0, delta_c=10.0)

@@ -151,8 +151,9 @@ class TestNewton:
             assert np.max(np.abs(a.rho - b.rho)) < 1e-12
 
     def test_jacobian_matches_finite_differences(self, params):
-        # _newton_step returns J^-1 r; with r = e_k that is column k of J^-1,
-        # J being the derivative of the map rabi -> rabi - mu*omega + eps*Re x
+        # _newton_step returns J^-1 r from the sensitivities of the solve;
+        # with r = e_k that is column k of J^-1, J being the derivative of
+        # the map rabi -> rabi - mu*omega + eps*Re x
         from hfs.steady import (_PAIR_RE, _detuning_stack, _newton_step,
                                 _solve_stack)
         eps = np.array([0.8, 1.1, 0.6, 1.3])
@@ -167,11 +168,107 @@ class TestNewton:
         jac = np.column_stack([
             (fixed_point_map(rabi + h * e) - fixed_point_map(rabi - h * e))
             / (2 * h) for e in np.eye(4)])
-        x, _, m, kept, ok = _solve_stack(base, rabi)
+        _, _, _, ok, dx = _solve_stack(base, rabi, sensitivities=True)
         assert ok[0]
-        inv = np.column_stack([_newton_step(x, m, kept, eps, e[None])[0]
+        inv = np.column_stack([_newton_step(dx, eps, e[None])[0]
                                for e in np.eye(4)])
         assert np.max(np.abs(inv @ jac - np.eye(4))) < 1e-7
+
+    @pytest.mark.parametrize("omega", [0.5, 5.0, 20.0, 100.0])
+    def test_merged_sensitivities_match_separate_solve(self, params, omega):
+        # the sensitivities ride on the refinement solve, from the state
+        # before its refinement step; a separate solve at the refined state
+        # gives the same dx/drabi_q
+        from hfs.steady import (_coupling_basis, _detuning_stack,
+                                _solve_stack, _system_rows)
+        base = _detuning_stack(params, np.linspace(-5.0, 5.0, 41)
+                               * params.delta_u)
+        rabi = np.tile(hfs.steady._couplings(
+            bare_rabi(params, hfs.Drive(omega=omega))), (len(base), 1))
+        x, a, m, ok, dx = _solve_stack(base, rabi, sensitivities=True)
+        assert ok.all() and dx.shape == (len(base), 16, 4)
+        _, kept = _system_rows(a)
+        bx = np.einsum("qij,nj->niq", _coupling_basis(), x)
+        ref = -np.linalg.solve(m, np.where(kept[..., None], bx, 0.0))
+        scale = np.abs(ref).max(axis=(1, 2))
+        assert np.all(np.abs(dx - ref).max(axis=(1, 2)) <= 1e-10 * scale)
+        # and the sensitivities cost the NDD-off solve nothing
+        x_off, _, _, _, none = _solve_stack(base, rabi)
+        assert none is None
+        assert np.max(np.abs(x_off - x)) <= 1e-15
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        solve_stack, calls = hfs.steady._solve_stack, []
+
+        def counted(*args, **kwargs):
+            out = solve_stack(*args, **kwargs)
+            calls.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(hfs.steady, "_solve_stack", counted)
+        return calls
+
+    def test_settled_point_keeps_its_last_newton_solve(self, params,
+                                                       monkeypatch):
+        # the bare solve, one per Newton iterate, and no clean solve after
+        drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
+                          ndd_enabled=True)
+        calls = self.count_solves(monkeypatch)
+        res = hfs.solve_selfconsistent(params, drive)
+        assert res.converged and res.iterations >= 2
+        assert len(calls) == res.iterations + 1
+        assert np.array_equal(pack(res.rho), calls[-1][0])
+        assert hfs.residual_norm(params, drive, res.rho) < 1e-12
+        calls.clear()
+        assert hfs.solve_selfconsistent(
+            params, drive.replace(ndd_enabled=False)).iterations == 1
+        assert len(calls) == 1
+
+    def test_picard_point_gets_its_clean_solve(self, params, monkeypatch):
+        # the bare solve, one per Picard iteration, then the clean solve
+        drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
+                          ndd_enabled=True)
+        self.picard_only(monkeypatch)
+        calls = self.count_solves(monkeypatch)
+        res = hfs.solve_selfconsistent(params, drive)
+        assert res.converged
+        assert len(calls) == res.iterations + 2
+        assert np.array_equal(pack(res.rho), calls[-1][0])
+        assert hfs.residual_norm(params, drive, res.rho) < 1e-12
+
+    def test_settled_point_failing_gate_is_solved_again(self, params,
+                                                        monkeypatch):
+        # every lockstep solve of the middle point is shifted off its steady
+        # state by the same amount: Newton settles it in as many iterations
+        # as before, its state fails the gate at its own couplings, and it
+        # is solved again on its own, not flagged singular
+        from hfs.steady import _detuning_stack
+        grid = np.linspace(-0.5, 0.5, 5) * params.delta_u
+        ref = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
+        target = _detuning_stack(params, grid[2:3])[0]
+        solve_stack, solve_point = (hfs.steady._solve_stack,
+                                    hfs.steady._solve_point)
+        retried = []
+
+        def shifted(base, rabi, sensitivities=False):
+            out = solve_stack(base, rabi, sensitivities)
+            if sensitivities and not retried:
+                out[0][np.all(base == target, axis=(1, 2)), 4] += 1e-6
+            return out
+
+        def counted(params, drive, delta_c, opts):
+            retried.append(delta_c)
+            return solve_point(params, drive, delta_c, opts)
+
+        monkeypatch.setattr(hfs.steady, "_solve_stack", shifted)
+        monkeypatch.setattr(hfs.steady, "_solve_point", counted)
+        sol = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
+        assert retried == [grid[2]]
+        assert not sol.singular.any() and sol.converged.all()
+        assert np.array_equal(sol.iterations, ref.iterations)
+        assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
+        assert np.all(sol.residual < 1e-12)
 
     @pytest.mark.parametrize("fault", ["raise", "nan", "uphill"])
     def test_fallback_after_failed_step(self, params, monkeypatch, fault):
