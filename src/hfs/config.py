@@ -111,7 +111,7 @@ class Entry:
     kind: str                     # float | int | bool | float_list | freq
     value: object                 # parsed, unit-unresolved value
     unit: str | None = None       # freq keys: suffix, else the default unit
-    line: int = field(default=0, compare=False)
+    line: int | None = field(default=None, compare=False)  # None: an override
 
 
 @dataclass
@@ -127,7 +127,7 @@ class ConfigDocument:
         """Apply a ``section.key=value`` override (CLI beats file)."""
         if section not in SCHEMA:
             raise UnknownKeyError(f"unknown section {section!r}")
-        entry = _parse_value(section, key, value_text.strip(), line=0)
+        entry = _parse_value(section, key, value_text.strip(), line=None)
         self.entries.setdefault(section, {})[key] = entry
 
     # -- resolution to domain objects ------------------------------------
@@ -249,7 +249,8 @@ def _freq_gamma(entry: Entry, gamma_ref: float, delta_u: float | None) -> float:
     return float(entry.value)
 
 
-def _parse_value(section: str, key: str, text: str, line: int) -> Entry:
+def _parse_value(section: str, key: str, text: str,
+                 line: int | None) -> Entry:
     schema = SCHEMA.get(section)
     if schema is None:
         raise UnknownKeyError(f"unknown section {section!r}", line=line)

@@ -4,8 +4,9 @@ Both routes use the affine split of the generator that the steady layer
 builds from ``rhs_verbatim``: at packed state ``x`` the couplings are
 ``r(x) = bare - eps * Re(x_p)`` over the four coupled pairs ``p``, so the
 generator is ``A(x) = A_bare - sum_q eps_q Re(x_p)_q B_q`` with ``A_bare`` the
-generator at the bare couplings and ``B_q`` the coupling basis.  With the
-local-field correction off (``eps = 0``) it is the fixed matrix ``A_bare``.
+generator at the bare couplings and ``B_q`` the coupling slice of the
+generator basis.  With the local-field correction off (``eps = 0``) it is the
+fixed matrix ``A_bare``.
 
 ``evolve`` integrates ``dx/dt = A_bare x - (eps * Re(x_p)) . (B x)`` with an
 adaptive embedded Runge-Kutta pair (scipy's DOP853 by default) on the
@@ -30,8 +31,8 @@ from scipy.integrate import solve_ivp
 
 from .model import STATE_COLUMNS, ground_state, pack, unpack
 from .params import Drive, SystemParams, effective_rabi
-from .steady import (_PAIR_RE, SteadyResult, _affine_split, _coupling_basis,
-                     _rho_max_abs, _with_couplings)
+from .steady import (_COUPLINGS, _PAIR_RE, SteadyResult, _affine_split,
+                     _basis, _rho_max_abs, _with_couplings)
 
 _TRACE_DEFECT_LIMIT = 1e-9
 
@@ -65,7 +66,7 @@ def _affine_rhs(params: SystemParams, drive: Drive):
     a_bare = _with_couplings(base[0], bare)
     if not np.any(eps != 0.0):
         return lambda t, x: a_bare @ x
-    basis = _coupling_basis()
+    basis = _basis()[_COUPLINGS]
     return lambda t, x: a_bare @ x - (eps * x[_PAIR_RE]) @ (basis @ x)
 
 

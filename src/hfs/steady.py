@@ -2,18 +2,16 @@
 
 At a fixed Rabi set the equations of motion are linear in the 16 real state
 components, so the steady state is a direct linear solve with one population
-row traded for the unit-trace constraint.  The generator is affine in the
-detuning and the couplings,
-``A = A(0) + delta * A_delta + sum_q rabi_q * B_q``, and the generator at
-zero detuning is linear in the decay rates and splittings,
-``A(0) = sum_k p_k * R_k``.  The bases ``R``, ``A_delta`` and ``B`` are
-constants, built once per process from ``rhs_verbatim``, so no solve calls
-it.  A detuning axis at one drive is a single ``(N, 16, 16)`` stack solved
-by batched LU, and one drive is the one-point stack.  With the local-field
-correction enabled the four effective couplings depend on Re(rho_ij), and
-the steady state is a fixed point in those couplings.  It is found by
-Newton's method on the couplings, in lockstep over the stack, whose 4x4
-Jacobians come from differentiating the linear solve: the sensitivities
+row traded for the unit-trace constraint.  The generator is linear in eleven
+numbers (the decay rates and splittings, the bare detuning and the
+couplings), ``A = sum_k c_k * K_k``, so every ``dA/dc_k`` is one matrix of a
+constant basis ``K``, built once per process from ``rhs_verbatim``; no solve
+calls it.  A detuning axis at one drive is a single ``(N, 16, 16)`` stack
+solved by batched LU, and one drive is the one-point stack.  With the
+local-field correction enabled the four effective couplings depend on
+Re(rho_ij), and the steady state is a fixed point in those couplings.  It is
+found by Newton's method on the couplings, in lockstep over the stack, whose
+4x4 Jacobians come from differentiating the linear solve: the sensitivities
 share one batched solve with the refinement step, so each iterate factors
 its matrices twice.  A point that settles returns its last Newton solve; a
 point whose Newton step fails to make progress continues by a damped Picard
@@ -114,86 +112,53 @@ def _couplings(rabi: RabiSet) -> np.ndarray:
     return np.array([rabi.o13, rabi.o14, rabi.o23, rabi.o24])
 
 
-def _difference_basis(reference: tuple, changes: list) -> np.ndarray:
-    """Read-only stack of ``generator_matrix(*c) - generator_matrix(*ref)``.
-
-    ``reference`` and each of ``changes`` are ``(params, drive, rabi)``
-    arguments of :func:`generator_matrix`.
-    """
-    a_ref = generator_matrix(*reference)
-    basis = np.stack([generator_matrix(*c) - a_ref for c in changes])
-    basis.flags.writeable = False
-    return basis
-
-
-@functools.cache
-def _coupling_basis() -> np.ndarray:
-    """(4, 16, 16) stack B with A(rabi) = A(0) + sum_q rabi_q * B[q].
-
-    The couplings enter the equations of motion with pure-number
-    coefficients, so B depends on neither the parameters nor the detuning;
-    the split is exact.  Built once from :func:`generator_matrix`, read-only.
-    """
-    params, drive = SystemParams(), Drive(omega=0.0)
-    return _difference_basis((params, drive, _NO_COUPLING),
-                             [(params, drive, RabiSet(*e)) for e in np.eye(4)])
-
-
-@functools.cache
-def _detuning_basis() -> np.ndarray:
-    """16x16 matrix A_delta with A(delta) = A(0) + delta * A_delta.
-
-    The bare detuning enters the equations of motion with unit coefficients,
-    so A_delta depends on no parameter.  It is built from
-    :func:`generator_matrix` with unit splittings, where ``delta_c`` = 0 and
-    -1 put the detuning at exactly 1 and 0, so every entry is exact;
-    read-only.
-    """
-    params = SystemParams(delta_g=1.0, delta_e=1.0)
-    return _difference_basis(
-        (params, Drive(omega=0.0, delta_c=-1.0), _NO_COUPLING),
-        [(params, Drive(omega=0.0), _NO_COUPLING)])[0]
-
-
-#: the parameters A(0) is linear in, in the order of :func:`_rate_basis`
+#: the coefficients of the generator in the order of :func:`_basis`: the
+#: decay rates and splittings ``_RATES``, the bare detuning, and the four
+#: couplings in ``PAIRS`` order
 _RATES = ("gamma31", "gamma32", "gamma41", "gamma42", "delta_g", "delta_e")
+_DETUNING = 6
+_COUPLINGS = slice(7, 11)
 
 
 @functools.cache
-def _rate_basis() -> np.ndarray:
-    """(6, 16, 16) stack R with A(0) = sum_k p_k * R[k] over ``_RATES``.
+def _basis() -> np.ndarray:
+    """(11, 16, 16) stack K with A = sum_k c_k * K[k], read-only.
 
-    At zero detuning and without couplings the generator is linear in the
-    four decay rates and the two splittings, with pure-number coefficients.
-    R is built from :func:`generator_matrix` at ``delta_c = -delta_u``,
-    where the detuning is exactly 0, as the differences from a reference
-    with all rates 0 and unit splittings when one rate is raised to 1 or one
-    splitting to 2, so every entry is exact; read-only.
+    The generator is homogeneous linear in eleven numbers with pure-number
+    coefficients: the rates and splittings ``_RATES``, the bare detuning
+    and the couplings, so K depends on no parameter.  ``K[k]`` is the change
+    in :func:`generator_matrix` when coefficient k is raised by 1 (a
+    splitting from 1 to 2) from a reference with unit splittings and every
+    other coefficient 0, so every entry is exact.
     """
     ref = SystemParams(gamma31=0.0, gamma32=0.0, gamma41=0.0, gamma42=0.0,
                        delta_g=1.0, delta_e=1.0)
 
-    def at_zero_detuning(params):
-        return params, Drive(omega=0.0, delta_c=-params.delta_u), _NO_COUPLING
+    def generator(params=ref, delta=0.0, rabi=_NO_COUPLING):
+        drive = Drive(omega=0.0, delta_c=delta - params.delta_u)
+        return generator_matrix(params, drive, rabi)
 
-    return _difference_basis(
-        at_zero_detuning(ref),
-        [at_zero_detuning(ref.replace(**{k: getattr(ref, k) + 1.0}))
-         for k in _RATES])
+    basis = np.stack(
+        [generator(ref.replace(**{k: getattr(ref, k) + 1.0})) for k in _RATES]
+        + [generator(delta=1.0)]
+        + [generator(rabi=RabiSet(*e)) for e in np.eye(4)]) - generator()
+    basis.flags.writeable = False
+    return basis
 
 
 def _detuning_stack(params: SystemParams, delta_c: np.ndarray) -> np.ndarray:
     """(N, 16, 16) generators without couplings at the detunings ``delta_c``.
 
-    ``A(0)`` is the rates and splittings of ``params`` contracted with
-    :func:`_rate_basis`, and the detuning adds ``delta * A_delta``.  An
-    entry matches :func:`generator_matrix` at the same detuning exactly or,
-    where either build adds rates or splittings together, to rounding.
+    ``A(0)`` is the rates and splittings of ``params`` contracted with their
+    slice of :func:`_basis`, and the detuning adds ``delta * K[_DETUNING]``.
+    An entry matches :func:`generator_matrix` at the same detuning exactly
+    or, where either build adds rates or splittings together, to rounding.
     """
+    basis = _basis()
     rates = [getattr(params, k) for k in _RATES]
-    a0 = np.dot(rates, _rate_basis().reshape(len(_RATES), -1))
+    a0 = np.dot(rates, basis[:_DETUNING].reshape(_DETUNING, -1))
     delta = np.asarray(delta_c, dtype=float) + params.delta_u
-    return a0.reshape(16, 16) + delta[:, None, None] * _detuning_basis()
+    return a0.reshape(16, 16) + delta[:, None, None] * basis[_DETUNING]
 
 
 def _affine_split(params: SystemParams, drive: Drive, delta_c: np.ndarray):
@@ -279,8 +244,10 @@ class GridSolution:
 
 def _with_couplings(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
     """Generators from a coupling-free stack and couplings (4,) or (N, 4)."""
-    # sum_q rabi_q * B[q] as one matmul against the flat (4, 256) basis
-    per_point = np.dot(rabi.reshape(-1, 4), _coupling_basis().reshape(4, -1))
+    # sum_q rabi_q * B_q as one matmul against the basis's flat (4, 256)
+    # coupling slice
+    per_point = np.dot(rabi.reshape(-1, 4),
+                       _basis()[_COUPLINGS].reshape(4, -1))
     return base + per_point.reshape(rabi.shape[:-1] + (16, 16))
 
 
@@ -319,8 +286,9 @@ def _solve_stack(base: np.ndarray, rabi: np.ndarray,
     x[~ok] = 0.0
     rhs = (_TRACE_RHS - _apply(m, x))[..., None]
     if sensitivities:
-        # the rows (B_q x)_i, from the flat (64, 16) basis, as columns q
-        bx = (x @ _coupling_basis().reshape(64, 16).T).reshape(n, 4, 16)
+        # the rows (B_q x)_i, from the flat (64, 16) coupling slice, as
+        # columns q
+        bx = (x @ _basis()[_COUPLINGS].reshape(64, 16).T).reshape(n, 4, 16)
         rhs = np.concatenate(
             [rhs, np.where(kept[:, None, :], bx, 0.0).swapaxes(-1, -2)],
             axis=-1)

@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hfs
+from hfs.cli import run_cli
 from hfs.config import (ConfigSyntaxError, DuplicateKeyError,
                         UnitMismatchError, UnknownKeyError, parse_config)
 from hfs.params import TWO_PI
+
+CONFIG = Path(__file__).resolve().parents[1] / "demos" / "sweep.cfg"
 
 GOOD = """\
 # sodium run
@@ -155,3 +160,13 @@ class TestRoundTripAndOverrides:
         doc.set_override("drive", "delta_c", "1.0 delta_u")
         p = doc.system_params()
         assert doc.drive_kwargs(p)["delta_c"] == pytest.approx(p.delta_u)
+
+    @pytest.mark.parametrize("setting", [
+        "solver.damping=nan", "system.gamma31=1", "system.delta_g=1 delta_u"])
+    def test_override_error_names_no_line(self, capsys, tmp_path, setting):
+        # an override has no line in the file, so its error cites none
+        code = run_cli(["sweep", "--config", str(CONFIG), "--set", setting,
+                        "--output", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "line" not in err

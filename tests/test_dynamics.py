@@ -8,7 +8,7 @@ from hfs.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, _affine_rhs,
                           write_trajectory_csv)
 from hfs.model import pack, unpack
 from hfs.params import PAIRS, bare_rabi
-from hfs.steady import (_PAIR_RE, _affine_split, _coupling_basis,
+from hfs.steady import (_COUPLINGS, _PAIR_RE, _affine_split, _basis,
                         generator_matrix)
 
 from test_steady import random_params
@@ -97,7 +97,7 @@ class TestEvolve:
             local_field += np.any(eps != 0.0)
             coupling = np.abs(bare) + np.abs(eps * x[_PAIR_RE])
             largest = np.max(np.abs(base[0]) @ np.abs(x) + coupling
-                             @ (np.abs(_coupling_basis()) @ np.abs(x)))
+                             @ (np.abs(_basis()[_COUPLINGS]) @ np.abs(x)))
             diff = np.abs(_affine_rhs(p, drive)(0.0, x) - ref)
             assert np.max(diff) <= 4 * np.finfo(float).eps * largest
         # derived eps vanish only where every dipole does

@@ -141,8 +141,8 @@ class TestGenerators:
         # parameters and detunings (the couplings carry pure-number
         # coefficients), including zeroed dipole multipliers and decay rates
         from hfs.params import PAIRS, effective_rabi
-        from hfs.steady import _coupling_basis, generator_matrix
-        basis = _coupling_basis()
+        from hfs.steady import _COUPLINGS, _basis, generator_matrix
+        basis = _basis()[_COUPLINGS]
         assert basis.shape == (4, 16, 16) and not basis.flags.writeable
         rng = np.random.default_rng(2024)
         zero = hfs.RabiSet(0.0, 0.0, 0.0, 0.0)

@@ -179,7 +179,7 @@ class TestNewton:
         # the sensitivities ride on the refinement solve, from the state
         # before its refinement step; a separate solve at the refined state
         # gives the same dx/drabi_q
-        from hfs.steady import (_coupling_basis, _detuning_stack,
+        from hfs.steady import (_COUPLINGS, _basis, _detuning_stack,
                                 _solve_stack, _system_rows)
         base = _detuning_stack(params, np.linspace(-5.0, 5.0, 41)
                                * params.delta_u)
@@ -188,7 +188,7 @@ class TestNewton:
         x, a, m, ok, dx = _solve_stack(base, rabi, sensitivities=True)
         assert ok.all() and dx.shape == (len(base), 16, 4)
         _, kept = _system_rows(a)
-        bx = np.einsum("qij,nj->niq", _coupling_basis(), x)
+        bx = np.einsum("qij,nj->niq", _basis()[_COUPLINGS], x)
         ref = -np.linalg.solve(m, np.where(kept[..., None], bx, 0.0))
         scale = np.abs(ref).max(axis=(1, 2))
         assert np.all(np.abs(dx - ref).max(axis=(1, 2)) <= 1e-10 * scale)
@@ -337,12 +337,13 @@ CONFIG = Path(__file__).resolve().parents[1] / "demos" / "sweep.cfg"
 
 def generator_build_stack(p, grid):
     """Coupling-free generators at ``grid`` with A(0) built by
-    ``generator_matrix`` at zero detuning: the oracle of the rate basis."""
-    from hfs.steady import _NO_COUPLING, _detuning_basis
+    ``generator_matrix`` at zero detuning: the oracle of the basis's rate
+    slice."""
+    from hfs.steady import _DETUNING, _NO_COUPLING, _basis
     a0 = generator_matrix(p, hfs.Drive(omega=0.0, delta_c=-p.delta_u),
                           _NO_COUPLING)
     delta = np.asarray(grid) + p.delta_u
-    return a0 + delta[:, None, None] * _detuning_basis()
+    return a0 + delta[:, None, None] * _basis()[_DETUNING]
 
 
 class TestGrid:
@@ -421,13 +422,15 @@ class TestGrid:
                 scale = max(abs(drive.delta(p)), p.delta_g + p.delta_e)
                 assert np.max(np.abs(a - ref)) <= 4 * np.spacing(scale)
 
-    def test_rate_basis_is_constant_and_read_only(self):
-        from hfs.steady import _rate_basis
-        basis = _rate_basis()
-        assert basis.shape == (6, 16, 16) and not basis.flags.writeable
-        assert _rate_basis() is basis
-        # every entry is exact: a decay or splitting coefficient, or half one
-        assert set(np.unique(basis)) == {-1.0, -0.5, 0.0, 1.0}
+    def test_basis_is_constant_and_read_only(self):
+        from hfs.steady import _DETUNING, _basis
+        basis = _basis()
+        assert basis.shape == (11, 16, 16) and not basis.flags.writeable
+        assert _basis() is basis
+        # every entry is exact: a pure-number coefficient of the equations
+        assert set(np.unique(basis)) == {-2.0, -1.0, -0.5, 0.0, 1.0, 2.0}
+        # a decay or splitting coefficient, or half one
+        assert set(np.unique(basis[:_DETUNING])) == {-1.0, -0.5, 0.0, 1.0}
 
     @pytest.mark.parametrize("which", ["sodium_d1", "cyclic", "sweep_cfg"])
     def test_detuning_stack_matches_generator_build_exactly(self, which):
