@@ -19,6 +19,11 @@ with the full nonlinear flow when the local-field correction is on).  With a
 fixed generator each chunk's propagator is the square of the previous one,
 so one exponential serves every chunk.  A chunked Runge-Kutta route is
 available too.
+
+Importing this module loads ``scipy.linalg`` (``relax_to_steady`` takes its
+``expm``).  ``scipy.integrate`` is loaded on the first ``evolve`` call, so
+``evolve``, ``relax_to_steady(method="rk")`` and ``hfs evolve`` load it and
+the default relaxation does not.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
-from .model import STATE_COLUMNS, ground_state, pack, unpack
+from .model import (STATE_COLUMNS, ground_state, pack, unpack,
+                    validate_density_matrix)
 from .params import Drive, SystemParams, effective_rabi
 from .steady import (_COUPLINGS, _PAIR_RE, SteadyResult, _affine_split,
                      _basis, _rho_max_abs, _with_couplings)
@@ -70,6 +75,23 @@ def _affine_rhs(params: SystemParams, drive: Drive):
     return lambda t, x: a_bare @ x - (eps * x[_PAIR_RE]) @ (basis @ x)
 
 
+def _initial_state(rho0) -> np.ndarray:
+    """``rho0`` as a complex array; ValueError unless it is a finite 4x4
+    matrix that :func:`validate_density_matrix` finds Hermitian and of unit
+    trace (each within 1e-9)."""
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"rho0 must have shape (4, 4), not {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho0 must be finite")
+    report = validate_density_matrix(rho)
+    if not report.hermitian:
+        raise ValueError("rho0 must be Hermitian")
+    if not report.unit_trace:
+        raise ValueError("rho0 must have unit trace")
+    return rho
+
+
 def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
            t_end: float, rtol: float = 1e-8, atol: float = 1e-10,
            t_eval: np.ndarray | None = None,
@@ -78,15 +100,18 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
 
     The local-field coupling, when enabled, is evaluated from the
     instantaneous state at every stage.  A stored sample whose trace drifts
-    beyond 1e-9 is renormalised.
+    beyond 1e-9 is renormalised.  ``rho0`` must be a finite 4x4 matrix,
+    Hermitian and of unit trace within 1e-9, or ValueError is raised.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
     if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):
         raise ValueError("tolerances must be positive and finite")
+    x0 = pack(_initial_state(rho0))
+    # imported here so that the default relaxation never loads the integrator
+    from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(_affine_rhs(params, drive), (0.0, t_end),
-                    pack(np.asarray(rho0, dtype=complex)),
+    sol = solve_ivp(_affine_rhs(params, drive), (0.0, t_end), x0,
                     method=method, rtol=rtol, atol=atol, t_eval=t_eval,
                     dense_output=False)
     if sol.status == -1:
@@ -124,7 +149,8 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     local-field correction off, or every ``eps`` zero) the propagator of a
     doubled chunk is the square of the previous one.  ``method="rk"``
     integrates the same chunks with :func:`evolve`.  Non-convergence within
-    ``t_max`` is reported via the flag, never raised.
+    ``t_max`` is reported via the flag, never raised.  A given ``rho0`` is
+    checked as in :func:`evolve`; the default is the ground state.
 
     ``residual_tol`` bounds the residual, not the distance to the fixed
     point, which can be larger by a factor of about one over the decay rate
@@ -140,7 +166,7 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     if not 0.0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
 
-    rho = np.asarray(ground_state() if rho0 is None else rho0, dtype=complex)
+    rho = ground_state() if rho0 is None else _initial_state(rho0)
     base, bare, eps = _affine_split(params, drive, [drive.delta_c])
 
     def couplings(x):

@@ -42,10 +42,11 @@ class IdentityReport:
 
 
 def _report(identity: str, residuals, tol: float, n: int) -> IdentityReport:
+    """A report over no points fails: it would check nothing."""
     max_res = float(np.max(residuals)) if len(residuals) else 0.0
     return IdentityReport(identity=identity, tolerance=tol,
                           max_residual=max_res, n_points=n,
-                          passed=max_res < tol)
+                          passed=n > 0 and max_res < tol)
 
 
 def _mirror_pairs(delta_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -118,7 +118,11 @@ class SpectrumTable:
         col = self._columns[name]
         if omega is None:
             return col
-        return col[self._blocks.get(omega, slice(0, 0))]
+        block = self._blocks.get(omega)
+        if block is None:
+            raise ValueError(f"no rows for omega = {omega}; the table holds "
+                             f"omegas {self.omegas()}")
+        return col[block]
 
     def omegas(self) -> list[float]:
         return list(self._blocks)
@@ -236,10 +240,37 @@ def read_csv(path) -> SpectrumTable:
     return SpectrumTable(cols)
 
 
+# per column dtype, the Python types json.load may give its values (a bool
+# is neither a number nor an integer here) and their name in errors
+_JSON_TYPES = {float: ({int, float}, "a number"),
+               bool: ({bool}, "true/false"),
+               np.int64: ({int}, "an integer"),
+               object: ({str}, "a string")}
+
+
 def read_json(path) -> SpectrumTable:
+    """A table written by :func:`write_json`: a list of objects with exactly
+    the COLUMNS keys, values of each column's JSON type (numbers, true/false,
+    integers, strings).  Anything else raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = json.load(fh)
-    return SpectrumTable({c: [r[c] for r in rows] for c in COLUMNS})
+        try:
+            rows = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON text: {exc}") from exc
+    keys = set(COLUMNS)
+    if not (type(rows) is list
+            and all(type(r) is dict and r.keys() == keys for r in rows)):
+        raise ValueError(f"JSON table in {path} is not a list of objects "
+                         "with the sweep columns as keys")
+    cols = {c: [r[c] for r in rows] for c in COLUMNS}
+    for c in COLUMNS:
+        types, name = _JSON_TYPES[_DTYPES[c]]
+        if not {type(v) for v in cols[c]} <= types:
+            raise ValueError(f"JSON column {c} is not {name} in {path}")
+    try:
+        return SpectrumTable(cols)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{exc} in {path}") from exc
 
 
 def _gain_intervals(delta_c_du: np.ndarray, line: np.ndarray) -> list:

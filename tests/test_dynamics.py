@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 import hfs
@@ -61,7 +66,7 @@ class TestEvolve:
         # return, so the integrator must not be reached at all
         def never(*args, **kwargs):
             raise AssertionError("solve_ivp called")
-        monkeypatch.setattr(hfs.dynamics, "solve_ivp", never)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
         drive = hfs.Drive(omega=1.0)
         inf, nan = float("inf"), float("nan")
         for t_end in (0.0, -1.0, inf, nan):
@@ -144,6 +149,71 @@ class TestEvolve:
                         "--t-end", "3.0", "--output", str(out)]) == 0
         write_rows(seen[0], tmp_path / "rows.csv")
         assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _lower_triangle_only():
+    rho = hfs.ground_state()
+    rho[1, 0] = 0.1
+    return rho
+
+
+# (rho0, the error it raises): each breaks one condition on a given rho0
+BAD_RHO0 = {
+    "shape": (np.eye(2) / 2, "shape"),
+    "nan": (np.full((4, 4), np.nan), "finite"),
+    "inf": (np.diag([np.inf, 0.0, 0.0, 0.0]), "finite"),
+    "non_hermitian": (_lower_triangle_only(), "Hermitian"),
+    "trace_2": (2.0 * hfs.ground_state(), "unit trace"),
+    "trace_off_by_2e-9": (np.diag([1.0 + 2e-9, 0.0, 0.0, 0.0]), "unit trace"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RHO0))
+@pytest.mark.parametrize("func", ["evolve", "relax_to_steady"])
+def test_invalid_rho0_rejected(params, monkeypatch, func, case):
+    # rejected before a generator is built or the integrator is reached
+    def never(*args, **kwargs):
+        raise AssertionError("work done on an invalid rho0")
+    monkeypatch.setattr(hfs.dynamics, "_affine_split", never)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
+    rho0, match = BAD_RHO0[case]
+    drive = hfs.Drive(omega=5.0, delta_c=12.0)
+    with pytest.raises(ValueError, match=match):
+        if func == "evolve":
+            hfs.evolve(params, drive, rho0, t_end=1.0)
+        else:
+            hfs.relax_to_steady(params, drive, rho0=rho0)
+
+
+def test_rho0_within_tolerance_accepted(params):
+    rho0 = np.diag([1.0 - 5e-10, 0.0, 0.0, 0.0]).astype(complex)
+    rho0[1, 0] = 5e-10
+    drive = hfs.Drive(omega=5.0, delta_c=12.0)
+    assert hfs.relax_to_steady(params, drive, rho0=rho0).converged
+    assert len(hfs.evolve(params, drive, rho0, t_end=1.0)) > 1
+
+
+def test_relaxation_leaves_scipy_integrate_unloaded():
+    # relax_to_steady needs scipy.linalg alone, with the local-field
+    # correction off and on; the first evolve loads scipy.integrate
+    src = Path(hfs.__file__).resolve().parents[1]
+    code = "\n".join((
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "import hfs",
+        "params = hfs.sodium_d1()",
+        "for ndd in (False, True):",
+        "    drive = hfs.Drive(omega=5.0, delta_c=12.0, ndd_enabled=ndd)",
+        "    assert hfs.relax_to_steady(params, drive).converged",
+        "assert 'scipy.linalg' in sys.modules",
+        "assert 'scipy.integrate' not in sys.modules",
+        "traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=1.0)",
+        "assert 'scipy.integrate' in sys.modules",
+        "assert len(traj) > 1 and hfs.validate_density_matrix(traj.final).ok",
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def write_rows(traj, path):

@@ -9,7 +9,7 @@ from hfs.identities import (GridNotSymmetric, check_evenness,
                             check_raman_symmetric_form, corrupt_coherence,
                             two_level_oracle_check, two_level_reduction,
                             two_level_steady, write_report_json)
-from hfs.sweep import SweepSpec, run_sweep
+from hfs.sweep import COLUMNS, SpectrumTable, SweepSpec, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,24 @@ class TestTwoLevel:
         rep = two_level_oracle_check(omegas=(0.0, 1.0), deltas=(-1.0, 2.0))
         assert not rep.passed
         assert rep.n_points == 8
+
+
+def test_omega_not_in_table_rejected(params, table):
+    # an omega without rows raises, naming it and the omegas the table holds
+    for check in (check_mirror_relations, check_evenness):
+        with pytest.raises(ValueError, match=r"omega = 3.0.*\[5.0\]"):
+            check(table, 3.0)
+    for check in (check_raman_steady_table, check_raman_symmetric_form):
+        with pytest.raises(ValueError, match=r"omega = 3.0.*\[5.0\]"):
+            check(params, table, 3.0)
+
+
+def test_report_over_no_points_fails(params, table):
+    cols = {c: table.column(c).copy() for c in COLUMNS}
+    cols["converged"][:] = False
+    rep = check_raman_steady_table(params, SpectrumTable(cols), 5.0)
+    assert rep.n_points == 0 and not rep.passed
+    assert not identities._report("any", np.empty(0), 1.0, 0).passed
 
 
 def test_report_serialization(tmp_path, params):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,49 @@ def flag_rows(cols, rows):
         else:
             cols[c][rows] = np.nan
     return cols
+
+
+def _set_cell(col, value):
+    def mutate(rows):
+        rows[2][col] = value
+        return rows
+    return mutate
+
+
+def _drop_key(rows):
+    del rows[3]["residual"]
+    return rows
+
+
+def _extra_key(rows):
+    rows[3]["note"] = ""
+    return rows
+
+
+def _interleave(rows):
+    rows[1], rows[50] = rows[50], rows[1]
+    return rows
+
+
+# A sweep table's rows (or JSON text), broken one way per entry; read_json
+# must refuse each.
+MALFORMED_JSON = {
+    "top_level_object": lambda rows: {"rows": rows},
+    "row_not_object": lambda rows: [list(rows[0].values()), *rows[1:]],
+    "missing_key": _drop_key,
+    "extra_key": _extra_key,
+    "ndd_string": _set_cell("ndd", "false"),
+    "converged_number": _set_cell("converged", 0.5),
+    "iterations_float": _set_cell("iterations", 2.7),
+    "iterations_bool": _set_cell("iterations", True),
+    "iterations_overflow": _set_cell("iterations", 2 ** 70),
+    "label_number": _set_cell("line_class_31", 1),
+    "float_string": _set_cell("rho11", "0.5"),
+    "float_bool": _set_cell("rho11", True),
+    "float_null": _set_cell("rho11", None),
+    "interleaved_omegas": _interleave,
+    "truncated": lambda rows: json.dumps(rows)[:-1],
+}
 
 
 # The record-at-a-time writers the columnar ones replaced, kept as oracles
@@ -237,7 +281,8 @@ class TestTableContract:
             if c in LABEL_COLUMNS:
                 assert col.dtype == object
                 assert all(type(v) is str for v in col)
-        assert table.column("rho11", 7.0).shape == (0,)
+        with pytest.raises(ValueError, match=r"omega = 7.0.*\[0.5, 5.0\]"):
+            table.column("rho11", 7.0)
 
     def test_columns_read_only(self, table):
         with pytest.raises(ValueError):
@@ -346,6 +391,15 @@ class TestSerialization:
         path.write_text(path.read_text().replace(",true,", ",True,", 1))
         with pytest.raises(ValueError, match="true/false"):
             read_csv(path)
+
+    @pytest.mark.parametrize("case", list(MALFORMED_JSON))
+    def test_malformed_json_rejected(self, small_table, tmp_path, case):
+        path = tmp_path / "t.json"
+        write_json(small_table, path)
+        bad = MALFORMED_JSON[case](json.loads(path.read_text()))
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_json(path)
 
     def test_write_error_mentions_path(self, small_table, tmp_path):
         with pytest.raises(OSError, match="no/such"):
