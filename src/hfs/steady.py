@@ -39,11 +39,14 @@ _ZERO_ROW_TOL = 1e-13
 #: largest packed residual a linear solve may leave before it is rejected
 _RESIDUAL_GATE = 1e-8
 
-#: the trace-constraint right-hand side of the replaced population-1 row
+#: the trace-constraint row that replaces the population-1 row, and its
+#: right-hand side
+_TRACE_ROW = np.repeat([1.0, 0.0], [4, 12])
 _TRACE_RHS = np.eye(16)[0]
 
-#: population rows 2..4, the ones that may be pinned
-_PINNABLE = np.arange(1, 4)
+#: population rows 2..4, the ones that may be pinned, and their pinned form
+_PINNABLE = slice(1, 4)
+_PINNED_ROWS = np.eye(16)[_PINNABLE]
 
 #: packed index of Re(rho_ij) for each coupled pair, in ``PAIRS`` order
 _PAIR_RE = np.array([STATE_COLUMNS.index(f"re_rho{p[::-1]}") for p in PAIRS])
@@ -83,8 +86,10 @@ class SolveOptions:
             raise ValueError("fp_tol must be positive and finite")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -185,17 +190,20 @@ def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     population row that is identically zero (a level fully decoupled from
     drive and decay) is pinned to zero, matching evolution from the ground
     state.  Returns ``(m, kept)``, ``kept`` masking the generator rows kept
-    as equations.
+    as equations.  ``m`` is a copy of ``a`` with the trace row over row 0
+    and a unit row over each pinned one; a row is zero below ``_ZERO_ROW_TOL``
+    times its matrix's max-abs (at least 1).
     """
-    row_max = np.abs(a).max(axis=-1)
-    scale = np.maximum(row_max.max(axis=-1, keepdims=True), 1.0)
-    kept = row_max >= _ZERO_ROW_TOL * scale
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)[..., None]
+    kept = np.full(a.shape[:-1], True)
     kept[..., 0] = False
-    kept[..., 4:] = True
-    m = np.where(kept[..., None], a, 0.0)
-    m[..., 0, 0:4] = 1.0
-    m[..., _PINNABLE, _PINNABLE] = np.where(
-        kept[..., _PINNABLE], m[..., _PINNABLE, _PINNABLE], 1.0)
+    kept[..., _PINNABLE] = (np.abs(a[..., _PINNABLE, :]).max(axis=-1)
+                            >= _ZERO_ROW_TOL * scale)
+    m = a.copy()
+    m[..., 0, :] = _TRACE_ROW
+    if not kept[..., _PINNABLE].all():
+        m[..., _PINNABLE, :] = np.where(kept[..., _PINNABLE, None],
+                                        m[..., _PINNABLE, :], _PINNED_ROWS)
     return m, kept
 
 
@@ -367,49 +375,55 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     Returns ``(x, m, converged, iterations, stalled, failed)``: ``m`` holds
     each point's last system matrix, ``stalled`` marks a fixed-point
     residual that failed to decrease or a step that was not finite, and
-    ``failed`` a singular system or a Jacobian that failed a batch.
+    ``failed`` a singular system or a Jacobian that failed a batch.  The
+    live arrays are compacted as points leave, which writes their states out.
     """
     n = len(base)
     rabi = np.tile(bare, (n, 1))
-    x, _, m, ok, dx = _solve_stack(base, rabi, sensitivities=True)
-    failed = ~ok
-    stalled = np.zeros(n, dtype=bool)
+    x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
+    failed, stalled, converged = np.zeros((3, n), dtype=bool)
     iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    last_resid = np.full(n, np.inf)
-    live = np.flatnonzero(ok)
-    while live.size:
-        fp_resid = rabi[live] - (bare - eps * x[live][:, _PAIR_RE])
-        resid = np.max(np.abs(fp_resid), axis=-1)
-        moving = resid < last_resid[live]
-        last_resid[live] = resid
-        stalled[live[~moving]] = True
-        live, fp_resid = live[moving], fp_resid[moving]
-        if not live.size:
+    live, resid, done = np.arange(n), np.full(n, np.inf), -1
+
+    def leave(keep, *marks):
+        # flag each (flags, mask) pair's points, write out those not kept
+        nonlocal live, x, m, rabi, dx, base, resid, fp_resid
+        if not keep.all():
+            for flags, mask in marks:
+                flags[live[mask]] = True
+            gone = live[~keep]
+            x_out[gone], m_out[gone] = x[~keep], m[~keep]
+            live, iterations[gone] = live[keep], done
+            if live.size:  # dx is None only where a failed batch keeps none
+                x, m, rabi, dx, base, resid, fp_resid = (
+                    v[keep] for v in (x, m, rabi, dx, base, resid, fp_resid))
+        return live.size > 0
+
+    while True:
+        x_new, _, m, ok, dx = _solve_stack(base, rabi, sensitivities=True)
+        done += 1
+        settled = (ok & (_rho_max_abs(x_new - x) < opts.fp_tol) if done
+                   else ok & False)
+        x, fp_resid = x_new, rabi - (bare - eps * x_new[:, _PAIR_RE])
+        last, resid = resid, np.abs(fp_resid).max(axis=-1)
+        going, moving = ok & ~settled & (done < opts.max_iters), resid < last
+        if not leave(going & moving, (failed, ~ok), (converged, settled),
+                     (stalled, going & ~moving)):
             break
         try:
-            step = _newton_step(dx[live], eps, fp_resid)
+            step = _newton_step(dx, eps, fp_resid)
         except np.linalg.LinAlgError:
             if live.size > 1:
                 # one singular Jacobian fails the batch, not every point
                 failed[live] = True
+                leave(np.zeros(live.size, dtype=bool))
                 break
             step = np.full_like(fp_resid, np.nan)
-        finite = np.all(np.isfinite(step), axis=-1)
-        stalled[live[~finite]] = True
-        live, step = live[finite], step[finite]
-        if not live.size:
+        rabi -= step
+        finite = np.isfinite(step).all(axis=-1)
+        if not leave(finite, (stalled, ~finite)):
             break
-        rabi[live] -= step
-        x_new, _, m[live], ok, dx[live] = _solve_stack(
-            base[live], rabi[live], sensitivities=True)
-        failed[live[~ok]] = True
-        iterations[live] += 1
-        converged[live] = ok & (_rho_max_abs(x_new - x[live]) < opts.fp_tol)
-        x[live] = x_new
-        spent = iterations[live] >= opts.max_iters
-        live = live[ok & ~converged[live] & ~spent]
-    return x, m, converged, iterations, stalled, failed
+    return x_out, m_out, converged, iterations, stalled, failed
 
 
 def _own_residual(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,

@@ -237,7 +237,10 @@ def read_csv(path) -> SpectrumTable:
         if not set(cols[c]) <= {"true", "false"}:
             raise ValueError(f"CSV column {c} is not true/false in {path}")
         cols[c] = [v == "true" for v in cols[c]]
-    return SpectrumTable(cols)
+    try:
+        return SpectrumTable(cols)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{exc} in {path}") from exc
 
 
 # per column dtype, the Python types json.load may give its values (a bool

@@ -118,6 +118,12 @@ class TestSelfConsistent:
             hfs.SolveOptions(damping=1.5)
         with pytest.raises(ValueError):
             hfs.SolveOptions(max_iters=0)
+        # a non-integer bound would fail only in the Picard fallback, and
+        # True would run as 1
+        for max_iters in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="integer"):
+                hfs.SolveOptions(max_iters=max_iters)
+        assert hfs.SolveOptions(max_iters=np.int64(3)).max_iters == 3
 
     def test_nonconvergence_reported_not_raised(self, params):
         drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
@@ -519,6 +525,96 @@ class TestGrid:
         assert not sol.singular.any()
         assert np.array_equal(sol.iterations, ref.iterations)
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
+
+    def test_points_leaving_at_different_iterates_match_alone(
+            self, monkeypatch):
+        # one stack whose points leave the lockstep at different iterates by
+        # every exit: settled after 4 and 5 iterations, out of iterations,
+        # stalled at the first iterate and continued by Picard, and failed
+        # at the second Newton solve (forced).  Each point's fields equal
+        # those of the point solved alone, bit for bit
+        from hfs.steady import _affine_split, _lockstep_newton
+        p = hfs.sodium_d1()
+        p = p.replace(number_density=300.0 * p.number_density)
+        grid = np.linspace(-3.0, 3.0, 61)[[0, 10, 28, 29, 31, 45]] * p.delta_u
+        drive = hfs.Drive(omega=50.0, ndd_enabled=True)
+        opts = hfs.SolveOptions(max_iters=5)
+        base, bare, eps = _affine_split(p, drive, grid)
+        solve_stack, doomed, solves = hfs.steady._solve_stack, base[5], []
+
+        def failing(base, rabi, sensitivities=False):
+            out = solve_stack(base, rabi, sensitivities)
+            hit = np.all(base == doomed, axis=(1, 2))
+            if sensitivities and hit.any():
+                solves.append(1)
+                if len(solves) >= 3:
+                    out[0][hit], out[3][hit] = 0.0, False
+            return out
+
+        monkeypatch.setattr(hfs.steady, "_solve_stack", failing)
+        stack = _lockstep_newton(base, bare, eps, opts)
+        _, _, converged, iterations, stalled, failed = stack
+        assert iterations.tolist() == [4, 5, 5, 1, 5, 2]
+        assert converged.tolist() == [True, True, False, False, False, False]
+        assert np.flatnonzero(stalled).tolist() == [3]
+        assert np.flatnonzero(failed).tolist() == [5]
+        for k in range(len(grid)):
+            solves.clear()
+            alone = _lockstep_newton(base[k:k + 1], bare, eps, opts)
+            for got, ref in zip(stack, alone):
+                assert np.array_equal(got[k], ref[0])
+
+        solves.clear()
+        sol = hfs.solve_grid(p, drive.omega, grid, True, opts)
+        assert np.flatnonzero(sol.singular).tolist() == [5]
+        for k, dc in enumerate(grid):
+            solves.clear()
+            if sol.singular[k]:
+                with pytest.raises(hfs.SingularSystem):
+                    hfs.solve_selfconsistent(p, drive.replace(delta_c=dc),
+                                             opts)
+                continue
+            ref = hfs.solve_selfconsistent(p, drive.replace(delta_c=dc), opts)
+            assert np.array_equal(sol.x[k], pack(ref.rho))
+            assert sol.converged[k] == ref.converged
+            assert sol.iterations[k] == ref.iterations
+            assert sol.residual[k] == ref.residual
+        assert sol.converged.tolist()[:3] == [True, True, False]
+        assert sol.iterations.tolist() == [4, 5, 5, 5, 5, 0]
+
+    def test_system_rows_match_where_build(self):
+        # pinned and unpinned points in one stack, against the masked build
+        # the copy-and-overwrite one replaced
+        from hfs.steady import (_ZERO_ROW_TOL, _couplings, _detuning_stack,
+                                _system_rows, _with_couplings)
+
+        def where_build(a):
+            row_max = np.abs(a).max(axis=-1)
+            scale = np.maximum(row_max.max(axis=-1, keepdims=True), 1.0)
+            kept = row_max >= _ZERO_ROW_TOL * scale
+            kept[..., 0] = False
+            kept[..., 4:] = True
+            m = np.where(kept[..., None], a, 0.0)
+            m[..., 0, 0:4] = 1.0
+            pin = np.arange(1, 4)
+            m[..., pin, pin] = np.where(kept[..., pin], m[..., pin, pin], 1.0)
+            return m, kept
+
+        rng = np.random.default_rng(19)
+        stacks = []
+        for dark in (None, 2, 3, 4) * 3:
+            p = random_params(rng, dark)
+            grid = rng.uniform(-3.0, 3.0, 5) * p.delta_u
+            rabi = _couplings(bare_rabi(p, hfs.Drive(omega=2.0)))
+            stacks.append(_with_couplings(_detuning_stack(p, grid), rabi))
+        mixed = np.concatenate(stacks)
+        has_pin = ~where_build(mixed)[1][:, 1:4].all(axis=-1)
+        assert 0 < has_pin.sum() < len(mixed) and not has_pin[:5].any()
+        # a stack with pinned rows, one without, and a single matrix
+        for a in (mixed, stacks[0], mixed[has_pin][0]):
+            m, kept = _system_rows(a)
+            m_ref, kept_ref = where_build(a)
+            assert np.array_equal(m, m_ref) and np.array_equal(kept, kept_ref)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ndd", [False, True])

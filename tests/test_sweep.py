@@ -392,6 +392,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="true/false"):
             read_csv(path)
 
+    @pytest.mark.parametrize("col, cell", [("rho22", "abc"),
+                                           ("iterations", "2.5")])
+    def test_bad_cell_names_the_file(self, small_table, tmp_path, col, cell):
+        path = tmp_path / "t.csv"
+        write_csv(small_table, path)
+        lines = path.read_text().split("\n")
+        cells = lines[5].split(",")
+        cells[COLUMNS.index(col)] = cell
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_csv(path)
+
     @pytest.mark.parametrize("case", list(MALFORMED_JSON))
     def test_malformed_json_rejected(self, small_table, tmp_path, case):
         path = tmp_path / "t.json"
