@@ -20,10 +20,25 @@ fixed generator each chunk's propagator is the square of the previous one,
 so one exponential serves every chunk.  A chunked Runge-Kutta route is
 available too.
 
-Importing this module loads ``scipy.linalg`` (``relax_to_steady`` takes its
-``expm``).  ``scipy.integrate`` is loaded on the first ``evolve`` call, so
-``evolve``, ``relax_to_steady(method="rk")`` and ``hfs evolve`` load it and
-the default relaxation does not.
+The exponentials come from :func:`_expm`, which runs the generic route of
+``scipy.linalg.expm`` (the scaling-and-squaring Pade algorithm of Al-Mohy
+and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) on one real matrix:
+scipy's own kernels ``pick_pade_structure`` and ``pade_UV_calc`` from
+``scipy.linalg._matfuncs_expm``, then the squarings.  On a 16x16 generator
+a quarter to a third of an ``expm`` call is its argument checks and batch
+loop, which a relaxation would pay once per chunk; the kernels alone give
+the same matrix bit for bit.  The kernels are private to scipy.  This
+module relies on the contract of their C implementation:
+``pick_pade_structure`` scales the work array itself, and
+``pade_UV_calc(Am, m)`` returns an error code.  Older scipy releases had a
+Cython version with another argument list that left the scaling to
+``expm``.  Hence the ``scipy>=1.17`` floor in ``pyproject.toml``: the
+release the bit-for-bit tests were run against.
+
+Importing this module loads ``scipy.linalg`` (for those two kernels).
+``scipy.integrate`` is loaded on the first ``evolve`` call, so ``evolve``,
+``relax_to_steady(method="rk")`` and ``hfs evolve`` load it and the default
+relaxation does not.
 """
 
 from __future__ import annotations
@@ -31,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .model import (STATE_COLUMNS, ground_state, pack, unpack,
                     validate_density_matrix)
@@ -73,6 +88,31 @@ def _affine_rhs(params: SystemParams, drive: Drive):
         return lambda t, x: a_bare @ x
     basis = _basis()[_COUPLINGS]
     return lambda t, x: a_bare @ x - (eps * x[_PAIR_RE]) @ (basis @ x)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(a)`` for one real (n, n) matrix that is neither
+    diagonal nor triangular, bit for bit: scipy's Pade step on a
+    ``(5, n, n)`` work array, then its squarings, without the argument
+    checks and the batch loop around them.  Raises as ``expm`` does when a
+    kernel fails."""
+    work = np.empty((5,) + a.shape)
+    work[0] = a
+    m, s = pick_pade_structure(work)
+    if m < 0:
+        raise MemoryError("could not allocate the Pade structure "
+                          f"(error code {m})")
+    info = pade_UV_calc(work, m)
+    if info != 0:
+        if info <= -11:
+            raise MemoryError("could not allocate the exponential "
+                              f"(error code {info})")
+        raise RuntimeError("internal LAPACK error in the exponential "
+                           f"(error code {info})")
+    e = work[0]
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def _initial_state(rho0) -> np.ndarray:
@@ -147,7 +187,10 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     matrix exponential of the generator frozen at the chunk's couplings,
     refreshed from the state between chunks; with a fixed generator (the
     local-field correction off, or every ``eps`` zero) the propagator of a
-    doubled chunk is the square of the previous one.  ``method="rk"``
+    doubled chunk is the square of the previous one.  Each exponential is
+    :func:`_expm`: the matrix ``scipy.linalg.expm`` returns, from its Pade
+    kernels without its per-call checks; an NDD-on relaxation takes one per
+    chunk.  ``method="rk"``
     integrates the same chunks with :func:`evolve`.  Non-convergence within
     ``t_max`` is reported via the flag, never raised.  A given ``rho0`` is
     checked as in :func:`evolve`; the default is the ground state.
@@ -197,7 +240,7 @@ def relax_to_steady(params: SystemParams, drive: Drive,
                 # twice the last chunk: expm(2 A s) = expm(A s)^2
                 prop = prop @ prop
             else:
-                prop = scipy.linalg.expm(a * dt)
+                prop = _expm(a * dt)
             x = prop @ x
         t += dt
         chunk *= 2.0

@@ -53,6 +53,10 @@ _PAIR_RE = np.array([STATE_COLUMNS.index(f"re_rho{p[::-1]}") for p in PAIRS])
 
 _NO_COUPLING = RabiSet(0.0, 0.0, 0.0, 0.0)
 
+#: the identity of the fixed-point map's 4x4 Jacobian
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
+
 #: the 16 unit states, whose packed derivatives are the generator's columns
 _UNIT_STATES = unpack(np.eye(16))
 _UNIT_STATES.flags.writeable = False
@@ -66,6 +70,12 @@ class SingularSystem(Exception):
             message = f"{message} (condition estimate {cond:.3e})"
         super().__init__(message)
         self.cond = cond
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool: int, float or a numpy real."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -82,9 +92,9 @@ class SolveOptions:
     damping: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.fp_tol < np.inf):
+        if not (_is_real(self.fp_tol) and 0.0 < self.fp_tol < np.inf):
             raise ValueError("fp_tol must be positive and finite")
-        if not (0.0 < self.damping <= 1.0):
+        if not (_is_real(self.damping) and 0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
         if (isinstance(self.max_iters, bool)
                 or not isinstance(self.max_iters, (int, np.integer))
@@ -229,7 +239,7 @@ def _newton_step(dx: np.ndarray, eps: np.ndarray,
     Takes a stack (leading axes on every argument but ``eps``).  Raises
     ``LinAlgError`` when any Jacobian is singular.
     """
-    jac = np.eye(4) + eps[:, None] * dx[..., _PAIR_RE, :]
+    jac = _EYE4 + eps[:, None] * dx[..., _PAIR_RE, :]
     return np.linalg.solve(jac, fixed_point_residual[..., None])[..., 0]
 
 

@@ -10,7 +10,8 @@ import scipy.linalg
 import hfs
 from hfs.cli import run_cli
 from hfs.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, _affine_rhs,
-                          write_trajectory_csv)
+                          _expm, write_trajectory_csv)
+from hfs.identities import two_level_reduction
 from hfs.model import pack, unpack
 from hfs.params import PAIRS, bare_rabi
 from hfs.steady import (_COUPLINGS, _PAIR_RE, _affine_split, _basis,
@@ -243,6 +244,29 @@ def relax_per_chunk_expm(params, drive, residual_tol, t_max):
     return unpack(x), iterations
 
 
+@pytest.mark.parametrize("ndd", [False, True])
+@pytest.mark.parametrize("dt", [1.0, 2.0 ** 6, 2.0 ** 12, 2.0 ** 20])
+def test_expm_matches_scipy(ndd, dt):
+    # the relaxation's propagators against scipy.linalg.expm, bit for bit,
+    # on generators at the couplings of a random state; a change in scipy's
+    # private kernels shows up here first
+    rng = np.random.default_rng(int(dt) + ndd)
+    sets = [hfs.sodium_d1(), two_level_reduction()]
+    sets += [random_params(rng, dark) for dark in (None, 2, 3, 4) * 3]
+    for p in sets:
+        drive = hfs.Drive(omega=float(rng.uniform(0.5, 100.0)),
+                          delta_c=float(rng.uniform(-5.0, 5.0)) * p.delta_u,
+                          ndd_enabled=ndd)
+        base, bare, eps = _affine_split(p, drive, [drive.delta_c])
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = z @ z.conj().T
+        x = pack(rho / np.trace(rho).real)
+        a = base[0] + np.tensordot(bare - eps * x[_PAIR_RE],
+                                   _basis()[_COUPLINGS], 1)
+        assert all(scipy.linalg.bandwidth(a))    # scipy's generic route
+        assert _expm(a * dt).tobytes() == scipy.linalg.expm(a * dt).tobytes()
+
+
 class TestRelaxToSteady:
 
     def test_agrees_with_linear_solver(self, params):
@@ -290,14 +314,16 @@ class TestRelaxToSteady:
         assert "tolerance" in res.message
 
     @staticmethod
-    def count_expm(monkeypatch):
+    def count_expm(monkeypatch, expm=None):
+        """Record every exponential ``relax_to_steady`` takes, computed by
+        ``expm`` (by default the module's own ``_expm``)."""
         calls = []
-        expm = scipy.linalg.expm
+        expm = expm or hfs.dynamics._expm
 
         def counted(a):
             calls.append(a)
             return expm(a)
-        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        monkeypatch.setattr(hfs.dynamics, "_expm", counted)
         return calls
 
     @pytest.mark.parametrize("drive_kw", [
@@ -335,6 +361,31 @@ class TestRelaxToSteady:
         calls = self.count_expm(monkeypatch)
         res = hfs.relax_to_steady(params, drive)
         assert res.converged and len(calls) == res.iterations > 5
+
+    @pytest.mark.parametrize("drive_kw, relax_kw", [
+        (dict(omega=5.0, delta_c=12.0), {}),
+        (dict(omega=5.0, delta_c=12.0, ndd_enabled=True), {}),
+        (dict(omega=30.0, delta_c=-40.0, ndd_enabled=True),
+         dict(residual_tol=1e-12, t_max=1e8)),
+        (dict(omega=5.0, delta_c=-8.0, ndd_enabled=True,
+              epsilon=dict.fromkeys(PAIRS, 0.0)), {}),
+        # the seventh chunk is cut to 37
+        (dict(omega=0.2, delta_c=2.0 * hfs.sodium_d1().delta_u),
+         dict(residual_tol=1e-13, t_max=100.0)),
+        (dict(omega=0.2, delta_c=2.0 * hfs.sodium_d1().delta_u,
+              ndd_enabled=True), dict(residual_tol=1e-13, t_max=100.0)),
+    ])
+    def test_same_result_as_scipy_expm(self, params, monkeypatch, drive_kw,
+                                       relax_kw):
+        drive = hfs.Drive(**drive_kw)
+        res = hfs.relax_to_steady(params, drive, **relax_kw)
+        calls = self.count_expm(monkeypatch, scipy.linalg.expm)
+        ref = hfs.relax_to_steady(params, drive, **relax_kw)
+        assert calls
+        assert res.rho.tobytes() == ref.rho.tobytes()
+        assert res.iterations == ref.iterations
+        assert repr(res.residual) == repr(ref.residual)
+        assert res.converged == ref.converged
 
     @pytest.fixture
     def no_work(self, monkeypatch):

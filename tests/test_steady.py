@@ -124,6 +124,14 @@ class TestSelfConsistent:
             with pytest.raises(ValueError, match="integer"):
                 hfs.SolveOptions(max_iters=max_iters)
         assert hfs.SolveOptions(max_iters=np.int64(3)).max_iters == 3
+        # True would run as 1.0, and a string failed the comparison with
+        # TypeError
+        for name, match in (("fp_tol", "fp_tol"), ("damping", "damping")):
+            for value in (True, "1e-3"):
+                with pytest.raises(ValueError, match=match):
+                    hfs.SolveOptions(**{name: value})
+            opts = hfs.SolveOptions(**{name: np.float64(0.5)})
+            assert getattr(opts, name) == 0.5
 
     def test_nonconvergence_reported_not_raised(self, params):
         drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
