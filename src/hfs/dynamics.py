@@ -1,6 +1,6 @@
 """Time evolution of the density matrix.
 
-Both routes use the affine split of the generator that the steady layer
+Every route uses the affine split of the generator that the steady layer
 builds from ``rhs_verbatim``: at packed state ``x`` the couplings are
 ``r(x) = bare - eps * Re(x_p)`` over the four coupled pairs ``p``, so the
 generator is ``A(x) = A_bare - sum_q eps_q Re(x_p)_q B_q`` with ``A_bare`` the
@@ -8,22 +8,34 @@ generator at the bare couplings and ``B_q`` the coupling slice of the
 generator basis.  With the local-field correction off (``eps = 0``) it is the
 fixed matrix ``A_bare``.
 
-``evolve`` integrates ``dx/dt = A_bare x - (eps * Re(x_p)) . (B x)`` with an
-adaptive embedded Runge-Kutta pair (scipy's DOP853 by default) on the
-Hermitian real packing, so hermiticity holds structurally along the
-trajectory.  ``relax_to_steady`` is the independent route to the steady
+With a fixed generator (the correction off, or every ``eps`` zero) the
+flow is linear and ``evolve`` propagates it exactly, ``x(t) = expm(A_bare t)
+x0`` (Moler and Van Loan, SIAM Rev. 45, 3 (2003)).  Without requested sample
+times it samples the uniform grid of ``n = max(1, ceil(t_end
+||A_bare||_1))`` steps from 0 to ``t_end``: the 1-norm bounds the spectral
+radius, so the grid resolves the fastest oscillation.  One
+``scipy.linalg.expm`` gives the one-step propagator, and the samples are
+filled by doubling, in about log2(n) batched products.  At requested times
+it takes one batched ``scipy.linalg.expm``.  Otherwise, or with an explicit
+``method``, ``evolve`` integrates ``dx/dt = A_bare x - (eps * Re(x_p)) .
+(B x)`` with ``scipy.integrate.solve_ivp`` (DOP853 by default).  Both routes
+work on the Hermitian real packing, so hermiticity holds structurally along
+the trajectory.  ``relax_to_steady`` is the independent route to the steady
 state used to cross-check the linear solver: it propagates over chunks of
 doubling length with matrix exponentials of the generator frozen at the
 chunk's couplings (exact for the linear problem, and sharing its fixed points
 with the full nonlinear flow when the local-field correction is on).  With a
 fixed generator each chunk's propagator is the square of the previous one,
-so one exponential serves every chunk.  A chunked Runge-Kutta route is
-available too.
+so one exponential serves every chunk.  A chunked Runge-Kutta route,
+integrated by DOP853 whatever the generator, is available too.
 
-The exponentials come from :func:`_expm`, which runs the generic route of
-``scipy.linalg.expm`` (the scaling-and-squaring Pade algorithm of Al-Mohy
-and Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)) on one real matrix:
-scipy's own kernels ``pick_pade_structure`` and ``pade_UV_calc`` from
+The exact route of ``evolve`` calls ``scipy.linalg.expm`` (the
+scaling-and-squaring Pade algorithm of Al-Mohy and Higham, SIAM J. Matrix
+Anal. Appl. 31, 970 (2009)) once per call, so its argument checks cost
+little, and it handles diagonal and triangular generators.  The
+relaxation's exponentials come from :func:`_expm`, which runs the generic
+route of ``scipy.linalg.expm`` on one real matrix: scipy's own kernels
+``pick_pade_structure`` and ``pade_UV_calc`` from
 ``scipy.linalg._matfuncs_expm``, then the squarings.  On a 16x16 generator
 a quarter to a third of an ``expm`` call is its argument checks and batch
 loop, which a relaxation would pay once per chunk; the kernels alone give
@@ -35,17 +47,20 @@ Cython version with another argument list that left the scaling to
 ``expm``.  Hence the ``scipy>=1.17`` floor in ``pyproject.toml``: the
 release the bit-for-bit tests were run against.
 
-Importing this module loads ``scipy.linalg`` (for those two kernels).
-``scipy.integrate`` is loaded on the first ``evolve`` call, so ``evolve``,
-``relax_to_steady(method="rk")`` and ``hfs evolve`` load it and the default
-relaxation does not.
+Importing this module loads ``scipy.linalg``.  ``scipy.integrate`` is
+loaded on the first ``evolve`` call that integrates: ``evolve`` with the
+local-field correction on or an explicit ``method``, and
+``relax_to_steady(method="rk")``.  The default relaxation and ``evolve`` or
+``hfs evolve`` with a fixed generator do not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .model import (STATE_COLUMNS, ground_state, pack, unpack,
@@ -78,12 +93,10 @@ class Trajectory:
         return self.rho[-1]
 
 
-def _affine_rhs(params: SystemParams, drive: Drive):
+def _affine_rhs(a_bare: np.ndarray, eps: np.ndarray):
     """``f(t, x)``, the packed equations of motion on the affine split:
-    ``A_bare x - (eps * x[_PAIR_RE]) . (B x)``, one matvec when ``eps`` is
+    ``a_bare x - (eps * x[_PAIR_RE]) . (B x)``, one matvec when ``eps`` is
     zero."""
-    base, bare, eps = _affine_split(params, drive, [drive.delta_c])
-    a_bare = _with_couplings(base[0], bare)
     if not np.any(eps != 0.0):
         return lambda t, x: a_bare @ x
     basis = _basis()[_COUPLINGS]
@@ -132,36 +145,100 @@ def _initial_state(rho0) -> np.ndarray:
     return rho
 
 
+def _sample_times(t_eval, t_end: float) -> np.ndarray | None:
+    """``t_eval`` as a new float array (None stays None); ValueError unless
+    it is a non-empty, finite, strictly increasing 1-D grid within
+    ``[0, t_end]``."""
+    if t_eval is None:
+        return None
+    t = np.array(t_eval, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("t_eval must be a non-empty 1-D array of times")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("t_eval must be finite")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("t_eval must be strictly increasing")
+    if t[0] < 0.0 or t[-1] > t_end:
+        raise ValueError(f"t_eval must lie within [0, t_end = {t_end!r}]")
+    return t
+
+
+def _propagate(a: np.ndarray, x0: np.ndarray, t_end: float,
+               t_eval: np.ndarray | None):
+    """``(t, xs)``: the exact flow ``x(t) = expm(a t) x0``, one state per
+    row of ``xs``.  At ``t_eval`` it is one batched ``scipy.linalg.expm``;
+    without it the samples lie on the uniform grid of ``n = max(1,
+    ceil(t_end ||a||_1))`` steps (the 1-norm bounds the spectral radius, so
+    the grid resolves the fastest oscillation), filled by doubling from the
+    one-step propagator: the first ``k`` samples advanced ``k`` steps give
+    the next ``k``, and the propagator is squared each round."""
+    if t_eval is not None:
+        return t_eval, scipy.linalg.expm(t_eval[:, None, None] * a) @ x0
+    n = max(1, math.ceil(t_end * np.linalg.norm(a, 1)))
+    xs = np.empty((n + 1, x0.size))
+    xs[0] = x0
+    prop = scipy.linalg.expm(a * (t_end / n))
+    done = 1
+    while True:
+        m = min(done, n + 1 - done)
+        xs[done:done + m] = xs[:m] @ prop.T
+        done += m
+        if done > n:
+            return np.linspace(0.0, t_end, n + 1), xs
+        prop = prop @ prop
+
+
 def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
            t_end: float, rtol: float = 1e-8, atol: float = 1e-10,
            t_eval: np.ndarray | None = None,
-           method: str = "DOP853") -> Trajectory:
-    """Integrate the equations of motion from ``rho0`` up to ``t_end``.
+           method: str | None = None) -> Trajectory:
+    """The trajectory from ``rho0`` up to ``t_end``.
 
-    The local-field coupling, when enabled, is evaluated from the
-    instantaneous state at every stage.  A stored sample whose trace drifts
-    beyond 1e-9 is renormalised.  ``rho0`` must be a finite 4x4 matrix,
-    Hermitian and of unit trace within 1e-9, or ValueError is raised.
+    With ``method=None`` (the default) and a fixed generator (the
+    local-field correction off, or every ``eps`` zero) the flow is
+    propagated exactly, ``x(t) = expm(A_bare t) x0``.  Without ``t_eval``
+    the samples then lie on a uniform grid from 0 to ``t_end`` with a step
+    of at most ``1 / ||A_bare||_1``.  Otherwise the equations of motion are
+    integrated by ``scipy.integrate.solve_ivp`` with ``method`` (DOP853 when
+    None), the local-field coupling evaluated from the instantaneous state
+    at every stage, and sampled at the integrator's steps.  An explicit
+    ``method`` always integrates.  ``rtol`` and ``atol`` are the
+    integrator's tolerances and are not read by the exact route, which
+    never raises :class:`StepSizeUnderflow`.
+
+    ``t_eval``, when given, must be a non-empty, finite, strictly
+    increasing grid within ``[0, t_end]``; the samples are taken there.  A
+    stored sample whose trace drifts beyond 1e-9 is renormalised.  ``rho0``
+    must be a finite 4x4 matrix, Hermitian and of unit trace within 1e-9.
+    Invalid arguments raise ValueError before any propagation.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
     if not (0.0 < rtol < np.inf and 0.0 < atol < np.inf):
         raise ValueError("tolerances must be positive and finite")
+    t_eval = _sample_times(t_eval, t_end)
     x0 = pack(_initial_state(rho0))
-    # imported here so that the default relaxation never loads the integrator
-    from scipy.integrate import solve_ivp
+    base, bare, eps = _affine_split(params, drive, [drive.delta_c])
+    a_bare = _with_couplings(base[0], bare)
 
-    sol = solve_ivp(_affine_rhs(params, drive), (0.0, t_end), x0,
-                    method=method, rtol=rtol, atol=atol, t_eval=t_eval,
-                    dense_output=False)
-    if sol.status == -1:
-        raise StepSizeUnderflow(float(sol.t[-1]) if len(sol.t) else 0.0)
+    if method is None and not np.any(eps != 0.0):
+        t, xs = _propagate(a_bare, x0, t_end, t_eval)
+    else:
+        # imported here so that the exact routes never load the integrator
+        from scipy.integrate import solve_ivp
 
-    rhos = np.ascontiguousarray(np.moveaxis(unpack(sol.y), -1, 0))
+        sol = solve_ivp(_affine_rhs(a_bare, eps), (0.0, t_end), x0,
+                        method=method or "DOP853", rtol=rtol, atol=atol,
+                        t_eval=t_eval, dense_output=False)
+        if sol.status == -1:
+            raise StepSizeUnderflow(float(sol.t[-1]) if len(sol.t) else 0.0)
+        t, xs = sol.t, sol.y.T
+
+    rhos = np.ascontiguousarray(np.moveaxis(unpack(xs.T), -1, 0))
     tr = np.trace(rhos, axis1=1, axis2=2).real
     drifted = np.abs(tr - 1.0) > _TRACE_DEFECT_LIMIT
     rhos[drifted] /= tr[drifted, None, None]
-    return Trajectory(t=sol.t.copy(), rho=rhos)
+    return Trajectory(t=t, rho=rhos)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -190,8 +267,8 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     doubled chunk is the square of the previous one.  Each exponential is
     :func:`_expm`: the matrix ``scipy.linalg.expm`` returns, from its Pade
     kernels without its per-call checks; an NDD-on relaxation takes one per
-    chunk.  ``method="rk"``
-    integrates the same chunks with :func:`evolve`.  Non-convergence within
+    chunk.  ``method="rk"`` integrates the same chunks with :func:`evolve`
+    by DOP853, also where the generator is fixed.  Non-convergence within
     ``t_max`` is reported via the flag, never raised.  A given ``rho0`` is
     checked as in :func:`evolve`; the default is the ground state.
 
@@ -234,7 +311,8 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     while t < t_max:
         dt = min(chunk, t_max - t)
         if method == "rk":
-            x = pack(evolve(params, drive, unpack(x), dt).final)
+            x = pack(evolve(params, drive, unpack(x), dt,
+                             method="DOP853").final)
         else:
             if fixed and prop is not None and dt == chunk:
                 # twice the last chunk: expm(2 A s) = expm(A s)^2

@@ -15,7 +15,7 @@ from hfs.identities import two_level_reduction
 from hfs.model import pack, unpack
 from hfs.params import PAIRS, bare_rabi
 from hfs.steady import (_COUPLINGS, _PAIR_RE, _affine_split, _basis,
-                        generator_matrix)
+                        _with_couplings, generator_matrix)
 
 from test_steady import random_params
 
@@ -23,6 +23,46 @@ from test_steady import random_params
 @pytest.fixture
 def params():
     return hfs.sodium_d1()
+
+
+def exact_samples(params, drive, rho0, t):
+    """``expm(A t) x0`` at each time, one ``scipy.linalg.expm`` per time with
+    ``A`` from ``generator_matrix``: the oracle of the exact route."""
+    a = generator_matrix(params, drive, bare_rabi(params, drive))
+    x0 = pack(rho0)
+    return np.array([scipy.linalg.expm(a * ti) @ x0 for ti in t])
+
+
+def _mixed_state():
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rho[3, 0], rho[0, 3] = 0.05 + 0.02j, 0.05 - 0.02j
+    return rho
+
+
+# (params, drive, rho0, t_end) of flows the default route propagates exactly
+EXACT_CASES = {
+    "demo_5": (hfs.sodium_d1(),
+               hfs.Drive(omega=5.0, delta_c=0.5 * hfs.sodium_d1().delta_u),
+               hfs.ground_state(), 5.0),
+    "demo_50": (hfs.sodium_d1(),
+                hfs.Drive(omega=5.0, delta_c=0.5 * hfs.sodium_d1().delta_u),
+                hfs.ground_state(), 50.0),
+    "two_level": (two_level_reduction(), hfs.Drive(omega=1.0, delta_c=0.3),
+                  hfs.ground_state(), 20.0),
+    "zero_drive": (hfs.sodium_d1(), hfs.Drive(omega=0.0), _mixed_state(),
+                   10.0),
+    "pinned_zero_eps": (hfs.sodium_d1(),
+                        hfs.Drive(omega=5.0, delta_c=-8.0, ndd_enabled=True,
+                                  epsilon=dict.fromkeys(PAIRS, 0.0)),
+                        hfs.ground_state(), 10.0),
+}
+
+
+@pytest.fixture
+def no_integrator(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
 
 
 class TestEvolve:
@@ -35,39 +75,56 @@ class TestEvolve:
             assert np.max(np.abs(r - r.conj().T)) == 0.0
 
     def test_short_time_expansion(self, params):
-        # rho(dt) ~ rho0 + dt * rhs(rho0) for small dt
+        # rho(dt) ~ rho0 + dt * rhs(rho0) for small dt; the grid keeps both
+        # ends however short the horizon
         drive = hfs.Drive(omega=2.0, delta_c=5.0)
         dt = 1e-4
         traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=dt)
         expect = hfs.ground_state() + dt * hfs.rhs_verbatim(
             params, drive, hfs.ground_state())
         assert np.max(np.abs(traj.final - expect)) < 1e-6
+        assert len(traj) >= 2 and traj.t[0] == 0.0 and traj.t[-1] == dt
 
-    def test_t_eval_grid_respected(self, params):
+    def test_t_eval_grid_respected(self, params, no_integrator):
         drive = hfs.Drive(omega=1.0)
-        grid = np.linspace(0.0, 5.0, 11)
-        traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=5.0,
-                          t_eval=grid)
-        assert np.allclose(traj.t, grid)
-        assert traj.rho.shape == (11, 4, 4)
+        for grid in (np.linspace(0.0, 5.0, 11), [0.25, 1.0, 3.5, 5.0]):
+            traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=5.0,
+                              t_eval=grid)
+            assert np.array_equal(traj.t, grid) and traj.t is not grid
+            got = pack(np.moveaxis(traj.rho, 0, -1)).T
+            ref = exact_samples(params, drive, hfs.ground_state(), grid)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_exact_route_matches_per_time_expm(self, no_integrator, case):
+        p, drive, rho0, t_end = EXACT_CASES[case]
+        traj = hfs.evolve(p, drive, rho0, t_end=t_end)
+        got = pack(np.moveaxis(traj.rho, 0, -1)).T
+        ref = exact_samples(p, drive, rho0, traj.t)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+        # the uniform grid from exactly 0 to exactly t_end, no step longer
+        # than one over the generator's 1-norm
+        norm = np.linalg.norm(generator_matrix(p, drive, bare_rabi(p, drive)),
+                              1)
+        assert traj.t[0] == 0.0 and traj.t[-1] == t_end
+        assert np.max(np.diff(traj.t)) <= (1 + 1e-12) / norm
 
     def test_matches_expm_for_frozen_linear_problem(self, params):
-        # local-field off: the flow is linear, so expm of the generator is an
-        # independent exact propagator
+        # local-field off: the flow is linear and the default route is exact,
+        # so the integrator is the one under test, sampled at the exact
+        # route's times, within ten times its relative tolerance
         drive = hfs.Drive(omega=5.0, delta_c=30.0)
-        t_end = 10.0
-        traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=t_end,
-                          rtol=1e-10, atol=1e-12)
-        a = generator_matrix(params, drive, bare_rabi(params, drive))
-        ref = unpack(scipy.linalg.expm(a * t_end) @ pack(hfs.ground_state()))
-        assert np.max(np.abs(traj.final - ref)) < 1e-8
+        exact = hfs.evolve(params, drive, hfs.ground_state(), t_end=10.0)
+        for rtol, atol in ((1e-8, 1e-10), (1e-10, 1e-12)):
+            rk = hfs.evolve(params, drive, hfs.ground_state(), t_end=10.0,
+                            rtol=rtol, atol=atol, t_eval=exact.t,
+                            method="DOP853")
+            assert np.array_equal(rk.t, exact.t)
+            assert np.max(np.abs(rk.rho - exact.rho)) < 10 * rtol
 
-    def test_invalid_arguments(self, params, monkeypatch):
+    def test_invalid_arguments(self, params, no_integrator):
         # rejected before integrating: an infinite or nan t_end would never
         # return, so the integrator must not be reached at all
-        def never(*args, **kwargs):
-            raise AssertionError("solve_ivp called")
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
         drive = hfs.Drive(omega=1.0)
         inf, nan = float("inf"), float("nan")
         for t_end in (0.0, -1.0, inf, nan):
@@ -104,7 +161,8 @@ class TestEvolve:
             coupling = np.abs(bare) + np.abs(eps * x[_PAIR_RE])
             largest = np.max(np.abs(base[0]) @ np.abs(x) + coupling
                              @ (np.abs(_basis()[_COUPLINGS]) @ np.abs(x)))
-            diff = np.abs(_affine_rhs(p, drive)(0.0, x) - ref)
+            rhs = _affine_rhs(_with_couplings(base[0], bare), eps)
+            diff = np.abs(rhs(0.0, x) - ref)
             assert np.max(diff) <= 4 * np.finfo(float).eps * largest
         # derived eps vanish only where every dipole does
         assert local_field == 0 if mode == "ndd_off" else local_field >= 36
@@ -186,6 +244,36 @@ def test_invalid_rho0_rejected(params, monkeypatch, func, case):
             hfs.relax_to_steady(params, drive, rho0=rho0)
 
 
+# (t_eval, with t_end = 1): each breaks one condition on a given t_eval
+BAD_T_EVAL = {
+    "empty": [],
+    "two_d": [[0.0, 0.5], [0.7, 1.0]],
+    "nan": [0.0, np.nan, 1.0],
+    "inf": [0.0, 0.5, np.inf],
+    "decreasing": [0.0, 0.6, 0.4],
+    "repeated": [0.0, 0.5, 0.5, 1.0],
+    "negative": [-0.1, 0.5, 1.0],
+    "beyond_t_end": [0.0, 0.5, 1.5],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_T_EVAL))
+@pytest.mark.parametrize("route", ["exact", "integrator", "ndd_on"])
+def test_invalid_t_eval_rejected(params, monkeypatch, route, case):
+    # rejected before a generator is built, an exponential taken or the
+    # integrator reached
+    def never(*args, **kwargs):
+        raise AssertionError("work done on an invalid t_eval")
+    monkeypatch.setattr(hfs.dynamics, "_affine_split", never)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", never)
+    monkeypatch.setattr(scipy.linalg, "expm", never)
+    drive = hfs.Drive(omega=5.0, delta_c=12.0, ndd_enabled=route == "ndd_on")
+    method = "DOP853" if route == "integrator" else None
+    with pytest.raises(ValueError, match="t_eval"):
+        hfs.evolve(params, drive, hfs.ground_state(), t_end=1.0,
+                   t_eval=BAD_T_EVAL[case], method=method)
+
+
 def test_rho0_within_tolerance_accepted(params):
     rho0 = np.diag([1.0 - 5e-10, 0.0, 0.0, 0.0]).astype(complex)
     rho0[1, 0] = 5e-10
@@ -196,7 +284,8 @@ def test_rho0_within_tolerance_accepted(params):
 
 def test_relaxation_leaves_scipy_integrate_unloaded():
     # relax_to_steady needs scipy.linalg alone, with the local-field
-    # correction off and on; the first evolve loads scipy.integrate
+    # correction off and on, and so do evolve and `hfs evolve` with it off;
+    # the first evolve that integrates loads scipy.integrate
     src = Path(hfs.__file__).resolve().parents[1]
     code = "\n".join((
         "import sys",
@@ -207,6 +296,12 @@ def test_relaxation_leaves_scipy_integrate_unloaded():
         "    drive = hfs.Drive(omega=5.0, delta_c=12.0, ndd_enabled=ndd)",
         "    assert hfs.relax_to_steady(params, drive).converged",
         "assert 'scipy.linalg' in sys.modules",
+        "assert 'scipy.integrate' not in sys.modules",
+        "off = hfs.Drive(omega=5.0, delta_c=12.0)",
+        "traj = hfs.evolve(params, off, hfs.ground_state(), t_end=1.0)",
+        "assert len(traj) > 1 and hfs.validate_density_matrix(traj.final).ok",
+        "from hfs.cli import run_cli",
+        "assert run_cli(['evolve', '--t-end', '1.0']) == 0",
         "assert 'scipy.integrate' not in sys.modules",
         "traj = hfs.evolve(params, drive, hfs.ground_state(), t_end=1.0)",
         "assert 'scipy.integrate' in sys.modules",
@@ -293,6 +388,21 @@ class TestRelaxToSteady:
                                       method="rk", t_max=200.0)
         assert relaxed.converged
         assert np.max(np.abs(relaxed.rho - direct)) < 1e-6
+
+    def test_rk_method_integrates_each_chunk(self, params, monkeypatch):
+        # with a fixed generator evolve's default would propagate exactly;
+        # the rk cross-check must still integrate every chunk
+        methods, solve_ivp = [], scipy.integrate.solve_ivp
+
+        def counted(*args, **kwargs):
+            methods.append(kwargs["method"])
+            return solve_ivp(*args, **kwargs)
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+        drive = hfs.Drive(omega=5.0, delta_c=-params.delta_u)
+        res = hfs.relax_to_steady(params, drive, residual_tol=1e-6,
+                                  method="rk", t_max=200.0)
+        assert res.converged and res.iterations > 1
+        assert methods == ["DOP853"] * res.iterations
 
     def test_zero_drive_flagged(self, params):
         res = hfs.relax_to_steady(params, hfs.Drive(omega=0.0))
