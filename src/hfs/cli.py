@@ -136,6 +136,9 @@ def _cmd_evolve(args) -> int:
     except StepSizeUnderflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"usage error: --t-end {args.t_end!r}: {exc}", file=sys.stderr)
+        return 2
     rho = traj.final
     print(f"samples: {len(traj)}  t_end: {traj.t[-1]:.6g}")
     for i in range(4):

@@ -210,7 +210,8 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
     increasing grid within ``[0, t_end]``; the samples are taken there.  A
     stored sample whose trace drifts beyond 1e-9 is renormalised.  ``rho0``
     must be a finite 4x4 matrix, Hermitian and of unit trace within 1e-9.
-    Invalid arguments raise ValueError before any propagation.
+    Invalid arguments raise ValueError before any propagation, as does a
+    ``t_end`` so long that ``t_end * ||A_bare||_1`` overflows.
     """
     if not 0.0 < t_end < np.inf:
         raise ValueError("t_end must be positive and finite")
@@ -220,6 +221,9 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
     x0 = pack(_initial_state(rho0))
     base, bare, eps = _affine_split(params, drive, [drive.delta_c])
     a_bare = _with_couplings(base[0], bare)
+    if not math.isfinite(float(t_end) * float(np.linalg.norm(a_bare, 1))):
+        raise ValueError("t_end * ||A_bare||_1 overflows: t_end is too long "
+                         "for this drive")
 
     if method is None and not np.any(eps != 0.0):
         t, xs = _propagate(a_bare, x0, t_end, t_eval)

@@ -9,13 +9,14 @@ constant basis ``K``, built once per process from ``rhs_verbatim``; no solve
 calls it.  A detuning axis at one drive is a single ``(N, 16, 16)`` stack
 solved by batched LU, and one drive is the one-point stack.  With the
 local-field correction enabled the four effective couplings depend on
-Re(rho_ij), and the steady state is a fixed point in those couplings.  It is
-found by Newton's method on the couplings, in lockstep over the stack, whose
-4x4 Jacobians come from differentiating the linear solve: the sensitivities
-share one batched solve with the refinement step, so each iterate factors
-its matrices twice.  A point that settles returns its last Newton solve; a
-point whose Newton step fails to make progress continues by a damped Picard
-iteration, and a clean solve follows at the couplings it reaches.
+Re(rho_ij), and the steady state solves ``M(r(x)) x = e_0`` with couplings
+``r`` affine in the packed state ``x``.  It is found by Newton's method on
+``x``, in lockstep over the stack, from the solve at the bare couplings;
+each iterate factors its matrices once, and the Newton matrix is the flow
+Jacobian with the trace row in place.  A point that settles returns its last
+Newton iterate; a point whose Newton step fails to make progress continues
+by a damped Picard iteration, and a clean solve follows at the couplings it
+reaches.
 
 :func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
 one drive, both through :func:`_solve_axis`.  The independent checks of the
@@ -53,10 +54,6 @@ _PAIR_RE = np.array([STATE_COLUMNS.index(f"re_rho{p[::-1]}") for p in PAIRS])
 
 _NO_COUPLING = RabiSet(0.0, 0.0, 0.0, 0.0)
 
-#: the identity of the fixed-point map's 4x4 Jacobian
-_EYE4 = np.eye(4)
-_EYE4.flags.writeable = False
-
 #: the 16 unit states, whose packed derivatives are the generator's columns
 _UNIT_STATES = unpack(np.eye(16))
 _UNIT_STATES.flags.writeable = False
@@ -82,9 +79,10 @@ def _is_real(value) -> bool:
 class SolveOptions:
     """Controls of the self-consistent solve.
 
-    ``fp_tol`` and ``max_iters`` bound the whole iteration, Newton and Picard
-    steps together; ``damping`` is the mixing weight of the Picard fallback
-    only.
+    ``fp_tol`` bounds the max-abs change in rho of the last step, a Newton
+    step on the packed state or a Picard iteration; ``max_iters`` bounds
+    both kinds of step together.  ``damping`` is the mixing weight of the
+    Picard fallback only.
     """
 
     fp_tol: float = 1e-11
@@ -230,19 +228,6 @@ def _rho_max_abs(x: np.ndarray) -> np.ndarray:
                       np.hypot(x[..., 4::2], x[..., 5::2]).max(axis=-1))
 
 
-def _newton_step(dx: np.ndarray, eps: np.ndarray,
-                 fixed_point_residual: np.ndarray) -> np.ndarray:
-    """Newton correction to the couplings from the sensitivities ``dx``.
-
-    ``dx`` holds dx/drabi_q, (..., 16, 4), as :func:`_solve_stack` returns
-    them; the fixed-point map's Jacobian is I + diag(eps) dRe(x_p)/drabi_q.
-    Takes a stack (leading axes on every argument but ``eps``).  Raises
-    ``LinAlgError`` when any Jacobian is singular.
-    """
-    jac = _EYE4 + eps[:, None] * dx[..., _PAIR_RE, :]
-    return np.linalg.solve(jac, fixed_point_residual[..., None])[..., 0]
-
-
 @dataclass(frozen=True)
 class GridSolution:
     """Steady states along a detuning axis, one row per detuning.
@@ -274,47 +259,55 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[..., None])[..., 0]
 
 
-def _solve_stack(base: np.ndarray, rabi: np.ndarray,
-                 sensitivities: bool = False):
+def _solve_stack(base: np.ndarray, rabi: np.ndarray):
     """The steady-state systems of a generator stack, solved together.
 
     ``base`` holds the (N, 16, 16) generators without couplings and ``rabi``
-    the couplings, (4,) or (N, 4).  Returns ``(x, a, m, ok, dx)``: the
-    packed solutions, the generators, the system matrices of
-    :func:`_system_rows`, the points whose solve is usable (couplings not
-    all zero, solution finite), and ``dx``, None unless ``sensitivities``.
-    ``x`` is zero where ``ok`` is False.  One exactly singular matrix fails
-    the whole batched solve, and then no point is usable.
+    the couplings, (4,) or (N, 4).  Returns ``(x, a, m, ok)``: the packed
+    solutions, the generators, the system matrices of :func:`_system_rows`,
+    and the points whose solve is usable (couplings not all zero, solution
+    finite).  ``x`` is zero where ``ok`` is False.  One exactly singular
+    matrix fails the whole batched solve, and then no point is usable.
 
     One step of iterative refinement keeps the residual near round-off.
-    With ``sensitivities`` the same solve also gives dx/drabi_q =
-    -M^-1 B~_q x, (N, 16, 4), from differentiating M x = b: B~_q is the
-    coupling matrix with the replaced and pinned rows zeroed, and x the
-    solution before its refinement step.  ``dx`` means nothing where ``ok``
-    is False.
     """
     a = _with_couplings(base, rabi)
-    m, kept = _system_rows(a)
+    m, _ = _system_rows(a)
     n = len(a)
     try:
         x = np.linalg.solve(m, _TRACE_RHS[:, None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.zeros((n, 16)), a, m, np.zeros(n, bool), None
+        return np.zeros((n, 16)), a, m, np.zeros(n, bool)
     ok = np.isfinite(x).all(axis=-1) & (rabi != 0.0).any(axis=-1)
     x[~ok] = 0.0
-    rhs = (_TRACE_RHS - _apply(m, x))[..., None]
-    if sensitivities:
-        # the rows (B_q x)_i, from the flat (64, 16) coupling slice, as
-        # columns q
-        bx = (x @ _basis()[_COUPLINGS].reshape(64, 16).T).reshape(n, 4, 16)
-        rhs = np.concatenate(
-            [rhs, np.where(kept[:, None, :], bx, 0.0).swapaxes(-1, -2)],
-            axis=-1)
-    step = np.linalg.solve(m, rhs)
-    x += step[..., 0]
+    x += np.linalg.solve(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
     ok &= np.isfinite(x).all(axis=-1)
     x[~ok] = 0.0
-    return x, a, m, ok, (-step[..., 1:] if sensitivities else None)
+    return x, a, m, ok
+
+
+def _newton_system(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+                   x: np.ndarray):
+    """``(rabi, m, f, jac)``: Newton's system at packed states ``x`` (N, 16).
+
+    ``rabi`` holds the couplings ``bare - eps * x[_PAIR_RE]`` of each state,
+    ``m`` the system matrices of :func:`_system_rows` at them, ``f = m x -
+    e_0`` the residual of the steady-state system, and ``jac`` its
+    derivative in ``x``: ``m - sum_q eps_q (B~_q x) e_{p_q}^T``, where
+    ``B~_q`` is the coupling slice of :func:`_basis` with the trace and
+    pinned rows zeroed and ``p_q = _PAIR_RE[q]``.  Below the trace row and
+    off the pinned rows, ``jac`` is the Jacobian of the equations of motion
+    with the couplings following the state.
+    """
+    rabi = bare - eps * x[:, _PAIR_RE]
+    m, kept = _system_rows(_with_couplings(base, rabi))
+    f = _apply(m, x) - _TRACE_RHS
+    # the rows (B_q x)_i, from the flat (64, 16) coupling slice, as
+    # columns q
+    bx = (x @ _basis()[_COUPLINGS].reshape(64, 16).T).reshape(len(x), 4, 16)
+    jac = m.copy()
+    jac[..., _PAIR_RE] -= eps * kept[..., None] * bx.swapaxes(-1, -2)
+    return rabi, m, f, jac
 
 
 def _gate(resid: np.ndarray) -> np.ndarray:
@@ -337,7 +330,7 @@ def _solve_one(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
     The solution must pass the residual gate on its generator; otherwise,
     or when the solve is not usable, raises :class:`SingularSystem`.
     """
-    x, a, m, ok, _ = _solve_stack(base, rabi)
+    x, a, m, ok = _solve_stack(base, rabi)
     if not (ok[0] and _gate(_apply(a, x))[0]):
         raise _singular(rabi, m[0])
     return x[0]
@@ -377,61 +370,66 @@ def _picard(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
 
 def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                      opts: SolveOptions):
-    """Cold Newton on the couplings of every point of a stack at once.
+    """Cold Newton on the packed states of every point of a stack at once.
 
-    The first iterate is the solve at the bare couplings, which counts as no
-    iteration.  Each point leaves the lockstep when the max-abs change in
-    rho drops below ``fp_tol`` or it has spent ``max_iters`` iterations.
+    Each pass builds :func:`_newton_system` at the live states and takes
+    the step ``-jac^-1 f`` in one batched solve.  From ``x = 0``, where
+    ``jac`` is the system matrix at the bare couplings and ``f = -e_0``,
+    the first step is the solve at the bare couplings, which counts as no
+    iteration.  A point leaves the lockstep when its step's max-abs change
+    in rho drops below ``fp_tol`` or it has spent ``max_iters`` iterations.
     Returns ``(x, m, converged, iterations, stalled, failed)``: ``m`` holds
-    each point's last system matrix, ``stalled`` marks a fixed-point
-    residual that failed to decrease or a step that was not finite, and
-    ``failed`` a singular system or a Jacobian that failed a batch.  The
-    live arrays are compacted as points leave, which writes their states out.
+    each point's last system matrix, ``stalled`` an iterate whose residual
+    ``|f|`` failed to decrease or whose step was not finite (the point
+    keeps that iterate), and ``failed`` couplings that all vanish, a solve
+    at the bare couplings that was not finite, or a singular matrix that
+    failed a batch.  The live arrays are compacted as points leave, which
+    writes their states out.
     """
     n = len(base)
-    rabi = np.tile(bare, (n, 1))
     x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
     failed, stalled, converged = np.zeros((3, n), dtype=bool)
     iterations = np.zeros(n, dtype=int)
-    live, resid, done = np.arange(n), np.full(n, np.inf), -1
+    x, live, last, done = (np.zeros((n, 16)), np.arange(n),
+                           np.full(n, np.inf), -1)
 
     def leave(keep, *marks):
         # flag each (flags, mask) pair's points, write out those not kept
-        nonlocal live, x, m, rabi, dx, base, resid, fp_resid
+        nonlocal live, x, m, base, last, step
         if not keep.all():
             for flags, mask in marks:
                 flags[live[mask]] = True
             gone = live[~keep]
             x_out[gone], m_out[gone] = x[~keep], m[~keep]
-            live, iterations[gone] = live[keep], done
-            if live.size:  # dx is None only where a failed batch keeps none
-                x, m, rabi, dx, base, resid, fp_resid = (
-                    v[keep] for v in (x, m, rabi, dx, base, resid, fp_resid))
+            live, iterations[gone] = live[keep], max(done, 0)
+            if live.size:  # a failed batch keeps none, before any step
+                x, m, base, last, step = (
+                    v[keep] for v in (x, m, base, last, step))
         return live.size > 0
 
     while True:
-        x_new, _, m, ok, dx = _solve_stack(base, rabi, sensitivities=True)
-        done += 1
-        settled = (ok & (_rho_max_abs(x_new - x) < opts.fp_tol) if done
-                   else ok & False)
-        x, fp_resid = x_new, rabi - (bare - eps * x_new[:, _PAIR_RE])
-        last, resid = resid, np.abs(fp_resid).max(axis=-1)
-        going, moving = ok & ~settled & (done < opts.max_iters), resid < last
-        if not leave(going & moving, (failed, ~ok), (converged, settled),
-                     (stalled, going & ~moving)):
-            break
+        rabi, m, f, jac = _newton_system(base, bare, eps, x)
         try:
-            step = _newton_step(dx, eps, fp_resid)
+            step = np.linalg.solve(jac, f[..., None])[..., 0]
         except np.linalg.LinAlgError:
             if live.size > 1:
-                # one singular Jacobian fails the batch, not every point
+                # one singular matrix fails the batch, not every point
                 failed[live] = True
                 leave(np.zeros(live.size, dtype=bool))
                 break
-            step = np.full_like(fp_resid, np.nan)
-        rabi -= step
-        finite = np.isfinite(step).all(axis=-1)
-        if not leave(finite, (stalled, ~finite)):
+            step = np.full_like(f, np.nan)
+        fnorm, finite = np.abs(f).max(axis=-1), np.isfinite(step).all(axis=-1)
+        # a point whose solve at the bare couplings fails has no iterate
+        ok = (rabi != 0.0).any(axis=-1) & (finite | (done >= 0))
+        going = ok & finite & (fnorm < last)
+        if done >= 0:  # the state x = 0 sets no bar for the bare solve
+            last = fnorm
+        if not leave(going, (failed, ~ok), (stalled, ok & ~going)):
+            break
+        x -= step
+        done += 1
+        settled = _rho_max_abs(step) < opts.fp_tol
+        if not leave(~settled & (done < opts.max_iters), (converged, settled)):
             break
     return x_out, m_out, converged, iterations, stalled, failed
 
@@ -447,8 +445,9 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
     """Steady states of ``drive`` at the detunings ``delta_c``, one stack.
 
     ``drive.delta_c`` is not read.  With the local-field correction, Newton
-    runs in lockstep from the bare couplings.  A point it settles returns
-    its last Newton solve, gated on the residual of the generator at that
+    on the packed state runs in lockstep from the solve at the bare
+    couplings (:func:`_lockstep_newton`).  A point it settles returns its
+    last Newton iterate, gated on the residual of the generator at that
     state's own couplings; one that fails the gate is not settled.  Every
     other point (continued by :func:`_picard` from its last iterate after a
     stalled step, or out of iterations) gets a clean solve at the couplings
@@ -462,7 +461,7 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
     n = len(base)
 
     if not np.any(eps != 0.0):
-        x, a, m, ok, _ = _solve_stack(base, bare)
+        x, a, m, ok = _solve_stack(base, bare)
         resid = _apply(a, x)
         return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),
                 _rho_max_abs(resid), ~(ok & _gate(resid)), m)
@@ -485,7 +484,7 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
     failed[live[keep & ~_gate(resid)]] = True
     redo = live[~keep]
     if redo.size:
-        x_redo, a, m[redo], ok, _ = _solve_stack(
+        x_redo, a, m[redo], ok = _solve_stack(
             base[redo], bare - eps * x[redo][:, _PAIR_RE])
         failed[redo[~(ok & _gate(_apply(a, x_redo)))]] = True
         x[redo] = x_redo
@@ -511,14 +510,15 @@ def solve_selfconsistent(params: SystemParams, drive: Drive,
     """Steady state with the local-field correction iterated to a fixed point.
 
     The one-point case of :func:`solve_grid`, at the drive as given
-    (a pinned ``epsilon`` included).  Newton's method on the four effective
-    couplings runs until the max-abs change in rho between successive
-    solves drops below ``fp_tol``; where a Newton step fails to make
-    progress, the damped Picard iteration continues from the last iterate.
-    The returned rho is the last solve, at a Rabi set that reproduces
-    itself to within the last Newton step, so it satisfies the
-    self-consistent equations to round-off.  Raises :class:`SingularSystem`
-    where the steady state is not unique.
+    (a pinned ``epsilon`` included).  Newton's method on the packed state,
+    from the solve at the bare couplings, runs until the max-abs change in
+    rho of a step drops below ``fp_tol``; each step factors one matrix, the
+    Jacobian of the flow with the trace row in place.  Where a Newton step
+    fails to make progress, the damped Picard iteration continues from the
+    last iterate.  The returned rho is the last Newton iterate, whose
+    couplings are its own, so it satisfies the self-consistent equations to
+    round-off.  Raises :class:`SingularSystem` where the steady state is not
+    unique.
     """
     opts = opts or SolveOptions()
     x, converged, iterations, residual = _solve_point(params, drive,
@@ -537,9 +537,10 @@ def solve_grid(params: SystemParams, omega: float, delta_c,
     """Steady states at drive ``omega`` over the detuning axis ``delta_c``.
 
     The generators of all points form one stack, solved by one batched LU
-    and one refinement step, with Newton in lockstep over the stack when
-    the local-field correction is on (see :func:`_solve_axis`).  A point
-    the stack does not settle is solved again as a one-point stack, and its
+    and one refinement step; with the local-field correction on, Newton on
+    the packed states runs in lockstep over the stack instead, one batched
+    LU per iterate (see :func:`_solve_axis`).  A point the stack does not
+    settle is solved again as a one-point stack, and its
     :class:`SingularSystem` marks the point singular.
     """
     opts = opts or SolveOptions()

@@ -124,6 +124,17 @@ class TestEvolve:
         assert err.startswith("usage error: --t-end") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_t_end_exit_code(self, capsys, tmp_path):
+        # finite, but t_end * ||A||_1 overflows: a usage error, not a
+        # traceback
+        out = tmp_path / "traj.csv"
+        code = run_cli(["evolve", "--t-end", "1e307", "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --t-end 1e+307:")
+        assert captured.err.count("\n") == 1 and "overflows" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestSweep:
 

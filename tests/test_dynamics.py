@@ -124,10 +124,12 @@ class TestEvolve:
 
     def test_invalid_arguments(self, params, no_integrator):
         # rejected before integrating: an infinite or nan t_end would never
-        # return, so the integrator must not be reached at all
+        # return, so the integrator must not be reached at all, and a
+        # finite t_end whose step count t_end * ||A||_1 overflows is
+        # rejected before its samples are allocated
         drive = hfs.Drive(omega=1.0)
         inf, nan = float("inf"), float("nan")
-        for t_end in (0.0, -1.0, inf, nan):
+        for t_end in (0.0, -1.0, inf, nan, 1e307):
             with pytest.raises(ValueError, match="t_end"):
                 hfs.evolve(params, drive, hfs.ground_state(), t_end=t_end)
         for tol in (-1.0, 0.0, inf, nan):

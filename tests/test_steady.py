@@ -143,13 +143,28 @@ class TestSelfConsistent:
 
 
 class TestNewton:
-    """Newton on the four couplings against the damped-Picard fallback."""
+    """Newton on the packed state against the damped-Picard fallback."""
 
     @staticmethod
-    def picard_only(monkeypatch):
-        def singular(*args):
-            raise np.linalg.LinAlgError("forced")
-        monkeypatch.setattr(hfs.steady, "_newton_step", singular)
+    def fault(monkeypatch, change):
+        # ``change(base, x, jac)`` may alter the Newton matrices built at
+        # the states ``x`` of the generator stack ``base``
+        newton_system = hfs.steady._newton_system
+
+        def faulty(base, bare, eps, x):
+            out = newton_system(base, bare, eps, x)
+            change(base, x, out[3])
+            return out
+
+        monkeypatch.setattr(hfs.steady, "_newton_system", faulty)
+
+    @classmethod
+    def picard_only(cls, monkeypatch):
+        # every step after the one from x = 0, which is the solve at the
+        # bare couplings, is not finite
+        def no_step(base, x, jac):
+            jac[np.any(x != 0.0, axis=-1)] = np.nan
+        cls.fault(monkeypatch, no_step)
 
     def test_matches_picard(self, params, monkeypatch):
         drives = [hfs.Drive(omega=om, delta_c=dc * params.delta_u,
@@ -165,117 +180,129 @@ class TestNewton:
             assert np.max(np.abs(a.rho - b.rho)) < 1e-12
 
     def test_jacobian_matches_finite_differences(self, params):
-        # _newton_step returns J^-1 r from the sensitivities of the solve;
-        # with r = e_k that is column k of J^-1, J being the derivative of
-        # the map rabi -> rabi - mu*omega + eps*Re x
-        from hfs.steady import (_PAIR_RE, _detuning_stack, _newton_step,
-                                _solve_stack)
-        eps = np.array([0.8, 1.1, 0.6, 1.3])
-        base = _detuning_stack(params, np.array([0.3 * params.delta_u]))
-        rabi = np.array([4.6, 5.2, 4.9, 5.4])
+        # the Newton matrix against central differences of the flow that
+        # rhs_verbatim defines with the couplings following the state
+        # (effective_rabi), its population-1 row replaced by the trace
+        # row.  The flow is quadratic in the state, so the differences are
+        # exact up to round-off
+        from hfs.model import rhs_verbatim
+        from hfs.params import effective_rabi
+        from hfs.steady import _TRACE_ROW, _affine_split, _newton_system
+        h = 1e-5
+        for omega, dc in ((0.5, 0.3), (5.0, -0.2), (20.0, 1.0), (100.0, 0.0)):
+            drive = hfs.Drive(omega=omega, delta_c=dc * params.delta_u,
+                              ndd_enabled=True)
+            x = pack(hfs.solve_selfconsistent(params, drive).rho)
 
-        def fixed_point_map(r):
-            x = _solve_stack(base, r)[0][0]
-            return r + eps * x[_PAIR_RE]
+            def flow(x):
+                rho = unpack(x)
+                rabi = effective_rabi(params, drive, rho)
+                return pack(rhs_verbatim(params, drive, rho, rabi=rabi))
 
-        h = 1e-6
-        jac = np.column_stack([
-            (fixed_point_map(rabi + h * e) - fixed_point_map(rabi - h * e))
-            / (2 * h) for e in np.eye(4)])
-        _, _, _, ok, dx = _solve_stack(base, rabi, sensitivities=True)
-        assert ok[0]
-        inv = np.column_stack([_newton_step(dx, eps, e[None])[0]
-                               for e in np.eye(4)])
-        assert np.max(np.abs(inv @ jac - np.eye(4))) < 1e-7
-
-    @pytest.mark.parametrize("omega", [0.5, 5.0, 20.0, 100.0])
-    def test_merged_sensitivities_match_separate_solve(self, params, omega):
-        # the sensitivities ride on the refinement solve, from the state
-        # before its refinement step; a separate solve at the refined state
-        # gives the same dx/drabi_q
-        from hfs.steady import (_COUPLINGS, _basis, _detuning_stack,
-                                _solve_stack, _system_rows)
-        base = _detuning_stack(params, np.linspace(-5.0, 5.0, 41)
-                               * params.delta_u)
-        rabi = np.tile(hfs.steady._couplings(
-            bare_rabi(params, hfs.Drive(omega=omega))), (len(base), 1))
-        x, a, m, ok, dx = _solve_stack(base, rabi, sensitivities=True)
-        assert ok.all() and dx.shape == (len(base), 16, 4)
-        _, kept = _system_rows(a)
-        bx = np.einsum("qij,nj->niq", _basis()[_COUPLINGS], x)
-        ref = -np.linalg.solve(m, np.where(kept[..., None], bx, 0.0))
-        scale = np.abs(ref).max(axis=(1, 2))
-        assert np.all(np.abs(dx - ref).max(axis=(1, 2)) <= 1e-10 * scale)
-        # and the sensitivities cost the NDD-off solve nothing
-        x_off, _, _, _, none = _solve_stack(base, rabi)
-        assert none is None
-        assert np.max(np.abs(x_off - x)) <= 1e-15
+            ref = np.column_stack([(flow(x + h * e) - flow(x - h * e))
+                                   / (2 * h) for e in np.eye(16)])
+            ref[0] = _TRACE_ROW
+            base, bare, eps = _affine_split(params, drive,
+                                            np.array([drive.delta_c]))
+            jac = _newton_system(base, bare, eps, x[None])[3][0]
+            assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     @staticmethod
     def count_solves(monkeypatch):
         solve_stack, calls = hfs.steady._solve_stack, []
 
-        def counted(*args, **kwargs):
-            out = solve_stack(*args, **kwargs)
+        def counted(*args):
+            out = solve_stack(*args)
             calls.append(out[0].copy())
             return out
 
         monkeypatch.setattr(hfs.steady, "_solve_stack", counted)
         return calls
 
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        # (matrices factored, solutions) of every np.linalg.solve call
+        solve, calls = np.linalg.solve, []
+
+        def counted(a, b):
+            out = solve(a, b)
+            calls.append((len(a), out[..., 0].copy()))
+            return out
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
     def test_settled_point_keeps_its_last_newton_solve(self, params,
                                                        monkeypatch):
-        # the bare solve, one per Newton iterate, and no clean solve after
+        # k Newton steps after the step from x = 0 (the solve at the bare
+        # couplings) factor k + 1 matrices, and no clean solve follows: the
+        # state returned is the last iterate
         drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
                           ndd_enabled=True)
-        calls = self.count_solves(monkeypatch)
+        states = []
+        self.fault(monkeypatch, lambda base, x, jac: states.append(x.copy()))
+        steps = self.count_factorizations(monkeypatch)
         res = hfs.solve_selfconsistent(params, drive)
         assert res.converged and res.iterations >= 2
-        assert len(calls) == res.iterations + 1
-        assert np.array_equal(pack(res.rho), calls[-1][0])
+        assert [n for n, _ in steps] == [1] * (res.iterations + 1)
+        assert np.array_equal(pack(res.rho), states[-1][0] - steps[-1][1][0])
         assert hfs.residual_norm(params, drive, res.rho) < 1e-12
-        calls.clear()
+        # without the correction: one solve and its refinement step
+        steps.clear()
         assert hfs.solve_selfconsistent(
             params, drive.replace(ndd_enabled=False)).iterations == 1
-        assert len(calls) == 1
+        assert [n for n, _ in steps] == [1, 1]
+
+    def test_stack_factors_k_plus_one_matrices_per_point(self, params,
+                                                         monkeypatch):
+        # in lockstep a point stops costing factorizations when it leaves:
+        # a stack whose points settle after k_i steps factors
+        # sum(k_i + 1) matrices, where a coupling Newton took 2 k_i + 2
+        steps = self.count_factorizations(monkeypatch)
+        for omega in (0.5, 5.0, 20.0, 100.0):
+            steps.clear()
+            sol = hfs.solve_grid(params, omega,
+                                 np.linspace(-5.0, 5.0, 41) * params.delta_u,
+                                 ndd_enabled=True)
+            assert sol.converged.all()
+            assert sum(n for n, _ in steps) == np.sum(sol.iterations + 1)
 
     def test_picard_point_gets_its_clean_solve(self, params, monkeypatch):
-        # the bare solve, one per Picard iteration, then the clean solve
+        # the solve at the bare couplings comes from Newton; one solve per
+        # Picard iteration, then the clean solve
         drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
                           ndd_enabled=True)
         self.picard_only(monkeypatch)
         calls = self.count_solves(monkeypatch)
         res = hfs.solve_selfconsistent(params, drive)
         assert res.converged
-        assert len(calls) == res.iterations + 2
+        assert len(calls) == res.iterations + 1
         assert np.array_equal(pack(res.rho), calls[-1][0])
         assert hfs.residual_norm(params, drive, res.rho) < 1e-12
 
     def test_settled_point_failing_gate_is_solved_again(self, params,
                                                         monkeypatch):
-        # every lockstep solve of the middle point is shifted off its steady
-        # state by the same amount: Newton settles it in as many iterations
-        # as before, its state fails the gate at its own couplings, and it
-        # is solved again on its own, not flagged singular
+        # the middle point's Newton matrices after the step from x = 0 are
+        # scaled up 1e12 in the lockstep: its first step is too short to
+        # move it, so Newton settles it at the solve at the bare couplings,
+        # which fails the gate at its own couplings.  It is solved again on
+        # its own, not flagged singular
         from hfs.steady import _detuning_stack
         grid = np.linspace(-0.5, 0.5, 5) * params.delta_u
         ref = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
         target = _detuning_stack(params, grid[2:3])[0]
-        solve_stack, solve_point = (hfs.steady._solve_stack,
-                                    hfs.steady._solve_point)
-        retried = []
+        solve_point, retried = hfs.steady._solve_point, []
 
-        def shifted(base, rabi, sensitivities=False):
-            out = solve_stack(base, rabi, sensitivities)
-            if sensitivities and not retried:
-                out[0][np.all(base == target, axis=(1, 2)), 4] += 1e-6
-            return out
+        def stiff(base, x, jac):
+            if not retried:
+                jac[np.all(base == target, axis=(1, 2))
+                    & np.any(x != 0.0, axis=-1)] *= 1e12
 
         def counted(params, drive, delta_c, opts):
             retried.append(delta_c)
             return solve_point(params, drive, delta_c, opts)
 
-        monkeypatch.setattr(hfs.steady, "_solve_stack", shifted)
+        self.fault(monkeypatch, stiff)
         monkeypatch.setattr(hfs.steady, "_solve_point", counted)
         sol = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
         assert retried == [grid[2]]
@@ -286,26 +313,28 @@ class TestNewton:
 
     @pytest.mark.parametrize("fault", ["raise", "nan", "uphill"])
     def test_fallback_after_failed_step(self, params, monkeypatch, fault):
-        # the first step is Newton's; the second fails, and Picard continues
-        # from the last iterate to the same fixed point
+        # the first Newton step is sound; the second is singular, not
+        # finite, or three times Newton's step backwards (its residual
+        # grows, which the next pass sees), and Picard continues from the
+        # last iterate to the same fixed point
         drive = hfs.Drive(omega=20.0, delta_c=-0.4 * params.delta_u,
                           ndd_enabled=True)
         ref = hfs.solve_selfconsistent(params, drive)
-        newton_step = hfs.steady._newton_step
         calls = []
 
-        def faulty(*args):
+        def faulty(base, x, jac):
             calls.append(fault)
-            step = newton_step(*args)
-            if len(calls) == 1:
-                return step
-            if fault == "raise":
-                raise np.linalg.LinAlgError("forced")
-            return step * np.nan if fault == "nan" else -3.0 * step
+            if len(calls) == 3:
+                if fault == "raise":
+                    jac[:] = 0.0
+                elif fault == "nan":
+                    jac[:] = np.nan
+                else:
+                    jac *= -1.0 / 3.0
 
-        monkeypatch.setattr(hfs.steady, "_newton_step", faulty)
+        self.fault(monkeypatch, faulty)
         res = hfs.solve_selfconsistent(params, drive)
-        assert len(calls) == 2
+        assert len(calls) == (4 if fault == "uphill" else 3)
         assert res.converged
         assert res.iterations > ref.iterations
         assert np.max(np.abs(res.rho - ref.rho)) < 1e-12
@@ -476,21 +505,19 @@ class TestGrid:
             assert np.max(np.abs(diff)) <= 4 * np.spacing(scale)
 
     def test_nonfinite_step_falls_back_to_picard(self, params, monkeypatch):
-        # the first point's first lockstep step is not finite: that point
+        # the first point's first Newton step is not finite: that point
         # alone leaves the lockstep, and Picard takes it from its last
         # iterate to the same fixed point
         from hfs.steady import _detuning_stack
         grid = np.linspace(-0.5, 0.5, 7) * params.delta_u
         ref = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
-        newton_step, picard = hfs.steady._newton_step, hfs.steady._picard
-        faulted, continued = [], []
+        picard, faulted, continued = hfs.steady._picard, [], []
 
-        def faulty(x, *args):
-            step = newton_step(x, *args)
-            if not faulted:
+        def faulty(base, x, jac):
+            # the step from x = 0 is the solve at the bare couplings
+            if x.any() and not faulted:
                 faulted.append(len(x))
-                step[0] = np.nan
-            return step
+                jac[0] = np.nan
 
         def counted(base, bare, eps, opts, x, iterations):
             continued.append((base, iterations))
@@ -499,7 +526,7 @@ class TestGrid:
         def no_retry(*args):
             raise AssertionError("a point was solved again on its own")
 
-        monkeypatch.setattr(hfs.steady, "_newton_step", faulty)
+        TestNewton.fault(monkeypatch, faulty)
         monkeypatch.setattr(hfs.steady, "_picard", counted)
         monkeypatch.setattr(hfs.steady, "_solve_point", no_retry)
         sol = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
@@ -538,45 +565,48 @@ class TestGrid:
             self, monkeypatch):
         # one stack whose points leave the lockstep at different iterates by
         # every exit: settled after 4 and 5 iterations, out of iterations,
-        # stalled at the first iterate and continued by Picard, and failed
-        # at the second Newton solve (forced).  Each point's fields equal
-        # those of the point solved alone, bit for bit
+        # stalled at the first and the second iterate and continued by
+        # Picard, and failed at the second Newton step (its couplings
+        # forced to zero).  Each point's fields equal those of the point
+        # solved alone, bit for bit
         from hfs.steady import _affine_split, _lockstep_newton
         p = hfs.sodium_d1()
         p = p.replace(number_density=300.0 * p.number_density)
-        grid = np.linspace(-3.0, 3.0, 61)[[0, 10, 28, 29, 31, 45]] * p.delta_u
-        drive = hfs.Drive(omega=50.0, ndd_enabled=True)
+        grid = (np.linspace(-3.0, 3.0, 121)[[0, 40, 46, 50, 62, 90]]
+                * p.delta_u)
+        drive = hfs.Drive(omega=100.0, ndd_enabled=True)
         opts = hfs.SolveOptions(max_iters=5)
         base, bare, eps = _affine_split(p, drive, grid)
-        solve_stack, doomed, solves = hfs.steady._solve_stack, base[5], []
+        newton_system, doomed, passes = (hfs.steady._newton_system, base[5],
+                                         [])
 
-        def failing(base, rabi, sensitivities=False):
-            out = solve_stack(base, rabi, sensitivities)
+        def failing(base, bare, eps, x):
+            out = newton_system(base, bare, eps, x)
             hit = np.all(base == doomed, axis=(1, 2))
-            if sensitivities and hit.any():
-                solves.append(1)
-                if len(solves) >= 3:
-                    out[0][hit], out[3][hit] = 0.0, False
+            if hit.any():
+                passes.append(1)
+                if len(passes) >= 3:
+                    out[0][hit] = 0.0
             return out
 
-        monkeypatch.setattr(hfs.steady, "_solve_stack", failing)
+        monkeypatch.setattr(hfs.steady, "_newton_system", failing)
         stack = _lockstep_newton(base, bare, eps, opts)
         _, _, converged, iterations, stalled, failed = stack
-        assert iterations.tolist() == [4, 5, 5, 1, 5, 2]
+        assert iterations.tolist() == [4, 5, 5, 1, 2, 1]
         assert converged.tolist() == [True, True, False, False, False, False]
-        assert np.flatnonzero(stalled).tolist() == [3]
+        assert np.flatnonzero(stalled).tolist() == [3, 4]
         assert np.flatnonzero(failed).tolist() == [5]
         for k in range(len(grid)):
-            solves.clear()
+            passes.clear()
             alone = _lockstep_newton(base[k:k + 1], bare, eps, opts)
             for got, ref in zip(stack, alone):
                 assert np.array_equal(got[k], ref[0])
 
-        solves.clear()
+        passes.clear()
         sol = hfs.solve_grid(p, drive.omega, grid, True, opts)
         assert np.flatnonzero(sol.singular).tolist() == [5]
         for k, dc in enumerate(grid):
-            solves.clear()
+            passes.clear()
             if sol.singular[k]:
                 with pytest.raises(hfs.SingularSystem):
                     hfs.solve_selfconsistent(p, drive.replace(delta_c=dc),
@@ -589,6 +619,22 @@ class TestGrid:
             assert sol.residual[k] == ref.residual
         assert sol.converged.tolist()[:3] == [True, True, False]
         assert sol.iterations.tolist() == [4, 5, 5, 5, 5, 0]
+
+    def test_high_density_rows_pass_the_gate(self):
+        # at 100x the paper's density (local-field strength ~39 gamma)
+        # Newton settles some rows and stalls on others, which the Picard
+        # fallback takes over; nothing raises, and every converged row
+        # satisfies the equations at its own couplings
+        from hfs.config import parse_config
+        p = parse_config(CONFIG.read_text()).system_params()
+        p = p.replace(number_density=1.5e22)
+        grid = np.linspace(0.0, 0.12, 9) * p.delta_u
+        sol = hfs.solve_grid(p, 100.0, grid, ndd_enabled=True)
+        assert not sol.singular.any() and sol.converged.sum() >= 4
+        for k, dc in enumerate(grid):
+            if sol.converged[k]:
+                drive = hfs.Drive(omega=100.0, delta_c=dc, ndd_enabled=True)
+                assert hfs.residual_norm(p, drive, unpack(sol.x[k])) <= 1e-8
 
     def test_system_rows_match_where_build(self):
         # pinned and unpinned points in one stack, against the masked build
