@@ -39,7 +39,15 @@ route of ``scipy.linalg.expm`` on one real matrix: scipy's own kernels
 ``scipy.linalg._matfuncs_expm``, then the squarings.  On a 16x16 generator
 a quarter to a third of an ``expm`` call is its argument checks and batch
 loop, which a relaxation would pay once per chunk; the kernels alone give
-the same matrix bit for bit.  The kernels are private to scipy.  This
+the same matrix bit for bit.  Every product of both routes (squarings,
+matrix-vector products and the exact route's doubling fill) is an
+``np.dot`` call, and the relaxation's squarings write into reused
+buffers: on these contiguous float64 operands ``np.dot`` runs the same
+BLAS kernel as ``@``, so the bits are those of ``@``, without the matmul
+dispatch and, where ``out`` is given, a new array per product.  A
+relaxation chunk whose largest packed element of drho/dt is already at or
+above ``residual_tol`` skips the full residual, which is never smaller.
+The kernels are private to scipy.  This
 module relies on the contract of their C implementation:
 ``pick_pade_structure`` scales the work array itself, and
 ``pade_UV_calc(Am, m)`` returns an error code.  Older scipy releases had a
@@ -65,7 +73,7 @@ from scipy.linalg._matfuncs_expm import pade_UV_calc, pick_pade_structure
 
 from .model import (STATE_COLUMNS, ground_state, pack, unpack,
                     validate_density_matrix)
-from .params import Drive, SystemParams, effective_rabi
+from .params import Drive, RabiSet, SystemParams, effective_rabi
 from .steady import (_COUPLINGS, _PAIR_RE, SteadyResult, _affine_split,
                      _basis, _rho_max_abs, _with_couplings)
 
@@ -107,8 +115,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     """``scipy.linalg.expm(a)`` for one real (n, n) matrix that is neither
     diagonal nor triangular, bit for bit: scipy's Pade step on a
     ``(5, n, n)`` work array, then its squarings, without the argument
-    checks and the batch loop around them.  Raises as ``expm`` does when a
-    kernel fails."""
+    checks and the batch loop around them.  ``expm`` squares by ``e @ e``;
+    here each square is ``np.dot`` into the other of the work array's
+    slots 0 and 1 (after the Pade step slot 1 holds a spent power of
+    ``a``), the same BLAS product without a new array each time.  The result is a view of this
+    call's own work array.  Raises as ``expm`` does when a kernel fails."""
     work = np.empty((5,) + a.shape)
     work[0] = a
     m, s = pick_pade_structure(work)
@@ -122,9 +133,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
                               f"(error code {info})")
         raise RuntimeError("internal LAPACK error in the exponential "
                            f"(error code {info})")
-    e = work[0]
+    # the squarings alternate between slot 0 and the spent slot 1
+    e, spare = work[0], work[1]
     for _ in range(s):
-        e = e @ e
+        e, spare = np.dot(e, e, out=spare), e
     return e
 
 
@@ -181,11 +193,11 @@ def _propagate(a: np.ndarray, x0: np.ndarray, t_end: float,
     done = 1
     while True:
         m = min(done, n + 1 - done)
-        xs[done:done + m] = xs[:m] @ prop.T
+        np.dot(xs[:m], prop.T, out=xs[done:done + m])
         done += m
         if done > n:
             return np.linspace(0.0, t_end, n + 1), xs
-        prop = prop @ prop
+        prop = np.dot(prop, prop)
 
 
 def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
@@ -309,9 +321,9 @@ def relax_to_steady(params: SystemParams, drive: Drive,
                             residual=resid,
                             rabi_final=effective_rabi(params, drive, rho))
 
-    fixed = not np.any(eps != 0.0)
+    fixed = not eps.any()
     t, chunk, iterations = 0.0, 1.0, 0
-    prop = None
+    prop, spare = None, np.empty_like(a)
     while t < t_max:
         dt = min(chunk, t_max - t)
         if method == "rk":
@@ -319,24 +331,32 @@ def relax_to_steady(params: SystemParams, drive: Drive,
                              method="DOP853").final)
         else:
             if fixed and prop is not None and dt == chunk:
-                # twice the last chunk: expm(2 A s) = expm(A s)^2
-                prop = prop @ prop
+                # twice the last chunk: expm(2 A s) = expm(A s)^2, into
+                # the spare buffer, which the last propagator becomes
+                prop, spare = np.dot(prop, prop, out=spare), prop
             else:
                 prop = _expm(a * dt)
-            x = prop @ x
+            x = np.dot(prop, x)
         t += dt
         chunk *= 2.0
         iterations += 1
         if not fixed:
             a = _with_couplings(base[0], couplings(x))
-        resid = float(_rho_max_abs(a @ x))
+        v = np.dot(a, x)
+        # max|v| <= _rho_max_abs(v): a chunk with max|v| at or above the
+        # tolerance is not converged; a NaN goes on to the full residual
+        if np.abs(v).max() >= residual_tol and t < t_max:
+            continue
+        resid = float(_rho_max_abs(v))
         if resid < residual_tol:
             break
-    rho = unpack(x)
     converged = resid < residual_tol
-    return SteadyResult(rho=rho, converged=converged, iterations=iterations,
-                        residual=resid,
-                        rabi_final=effective_rabi(params, drive, rho),
+    # effective_rabi's couplings, from the packed state: the bare ones
+    # with the correction off
+    rabi = couplings(x) if drive.ndd_enabled else bare
+    return SteadyResult(rho=unpack(x), converged=converged,
+                        iterations=iterations, residual=resid,
+                        rabi_final=RabiSet(*rabi.tolist()),
                         message="" if converged else
                         f"residual {resid:.3e} above tolerance "
                         f"after t = {t_max}")

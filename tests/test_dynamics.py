@@ -1,21 +1,24 @@
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from scipy.linalg._matfuncs_expm import pick_pade_structure
 
 import hfs
 from hfs.cli import run_cli
 from hfs.dynamics import (TRAJECTORY_CSV_HEADER, Trajectory, _affine_rhs,
                           _expm, write_trajectory_csv)
 from hfs.identities import two_level_reduction
-from hfs.model import pack, unpack
-from hfs.params import PAIRS, bare_rabi
-from hfs.steady import (_COUPLINGS, _PAIR_RE, _affine_split, _basis,
-                        _with_couplings, generator_matrix)
+from hfs.model import ground_state, pack, unpack
+from hfs.params import PAIRS, bare_rabi, effective_rabi
+from hfs.steady import (_COUPLINGS, _PAIR_RE, SteadyResult, _affine_split,
+                        _basis, _rho_max_abs, _with_couplings,
+                        generator_matrix)
 
 from test_steady import random_params
 
@@ -362,6 +365,142 @@ def test_expm_matches_scipy(ndd, dt):
                                    _basis()[_COUPLINGS], 1)
         assert all(scipy.linalg.bandwidth(a))    # scipy's generic route
         assert _expm(a * dt).tobytes() == scipy.linalg.expm(a * dt).tobytes()
+
+
+def demo_generator():
+    """The demo drive's generator, scaled to unit 1-norm."""
+    p = hfs.sodium_d1()
+    drive = hfs.Drive(omega=5.0, delta_c=0.5 * p.delta_u)
+    a = generator_matrix(p, drive, bare_rabi(p, drive))
+    return a / np.linalg.norm(a, 1)
+
+
+# 1-norm of the argument -> the number of squarings scipy's Pade step picks:
+# none below theta_13 = 5.37 (at Pade orders 3, 7 and 13), then odd and even
+@pytest.mark.parametrize("norm, squarings", [
+    (1e-3, 0), (1.0, 0), (4.0, 0), (8.0, 1), (16.0, 2), (32.0, 3),
+    (1e3, 8), (1e4, 12)])
+def test_expm_squarings_match_scipy(norm, squarings):
+    a = demo_generator() * norm
+    work = np.empty((5,) + a.shape)
+    work[0] = a
+    assert pick_pade_structure(work)[1] == squarings
+    assert _expm(a).tobytes() == scipy.linalg.expm(a).tobytes()
+
+
+def test_expm_results_do_not_alias():
+    # an even and an odd number of squarings: the results sit in different
+    # slots of their work arrays, and each call has its own
+    a = demo_generator()
+    first = _expm(16.0 * a)
+    kept = first.copy()
+    second = _expm(32.0 * a)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() == scipy.linalg.expm(32.0 * a).tobytes()
+
+
+@pytest.mark.parametrize("kernel, code, error", [
+    ("pick_pade_structure", (-1, 0), MemoryError),
+    ("pade_UV_calc", -11, MemoryError),
+    ("pade_UV_calc", -3, RuntimeError),
+    ("pade_UV_calc", 1, RuntimeError),
+])
+def test_expm_kernel_error_codes(monkeypatch, kernel, code, error):
+    monkeypatch.setattr(hfs.dynamics, kernel, lambda *args: code)
+    with pytest.raises(error, match="error code"):
+        _expm(demo_generator())
+
+
+def relax_reference(params, drive, residual_tol, t_max, rho0=None):
+    """The expm route of ``relax_to_steady`` as it was before its chunks
+    moved to direct BLAS products: ``scipy.linalg.expm`` per new chunk and
+    ``@`` for every product, the full residual after every chunk, and
+    ``rabi_final`` from ``effective_rabi``."""
+    rho = ground_state() if rho0 is None else np.asarray(rho0, dtype=complex)
+    base, bare, eps = _affine_split(params, drive, [drive.delta_c])
+
+    def couplings(x):
+        return bare - eps * x[_PAIR_RE]
+
+    x = pack(rho)
+    a = _with_couplings(base[0], couplings(x))
+    resid = float(_rho_max_abs(a @ x))
+    if resid < residual_tol:
+        return SteadyResult(rho=rho, converged=True, iterations=0,
+                            residual=resid,
+                            rabi_final=effective_rabi(params, drive, rho))
+    fixed = not np.any(eps != 0.0)
+    t, chunk, iterations = 0.0, 1.0, 0
+    prop = None
+    while t < t_max:
+        dt = min(chunk, t_max - t)
+        if fixed and prop is not None and dt == chunk:
+            prop = prop @ prop
+        else:
+            prop = scipy.linalg.expm(a * dt)
+        x = prop @ x
+        t += dt
+        chunk *= 2.0
+        iterations += 1
+        if not fixed:
+            a = _with_couplings(base[0], couplings(x))
+        resid = float(_rho_max_abs(a @ x))
+        if resid < residual_tol:
+            break
+    rho = unpack(x)
+    converged = resid < residual_tol
+    return SteadyResult(rho=rho, converged=converged, iterations=iterations,
+                        residual=resid,
+                        rabi_final=effective_rabi(params, drive, rho),
+                        message="" if converged else
+                        f"residual {resid:.3e} above tolerance "
+                        f"after t = {t_max}")
+
+
+@pytest.mark.parametrize("ndd", ["off", "on", "pinned_zero_eps"])
+@pytest.mark.parametrize("relax_kw", [
+    dict(residual_tol=1e-9, t_max=1e8),
+    # chunks 1, ..., 32 reach t = 63 and the seventh is cut to 37; most
+    # points do not converge
+    dict(residual_tol=1e-13, t_max=100.0),
+    # three chunks, the last cut to 0.5: no point converges
+    dict(residual_tol=1e-9, t_max=3.5),
+])
+def test_relaxation_matches_reference_loop(ndd, relax_kw):
+    # the chunk loop against its pre-BLAS form, bit for bit, from the ground
+    # state and from a mixed state with coherences on coupled pairs
+    rng = np.random.default_rng(23)
+    sets = [hfs.sodium_d1()]
+    sets += [random_params(rng, dark) for dark in (None, 2, 3, 4) * 2]
+    mixed = _mixed_state()
+    mixed[2, 0], mixed[0, 2] = -0.04 + 0.01j, -0.04 - 0.01j
+    outcomes = []
+    for p in sets:
+        drive = hfs.Drive(
+            omega=float(np.exp(rng.uniform(np.log(0.5), np.log(100.0)))),
+            delta_c=float(rng.uniform(-5.0, 5.0)) * p.delta_u,
+            ndd_enabled=ndd != "off",
+            epsilon=dict.fromkeys(PAIRS, 0.0) if ndd == "pinned_zero_eps"
+            else None)
+        for rho0 in (None, mixed):
+            res = hfs.relax_to_steady(p, drive, rho0=rho0, **relax_kw)
+            ref = relax_reference(p, drive, rho0=rho0, **relax_kw)
+            assert res.rho.tobytes() == ref.rho.tobytes()
+            assert repr(res.residual) == repr(ref.residual)
+            assert res.iterations == ref.iterations
+            assert (np.array(astuple(res.rabi_final)).tobytes()
+                    == np.array(astuple(ref.rabi_final)).tobytes())
+            assert [type(v) for v in astuple(res.rabi_final)] == [float] * 4
+            assert res.converged == ref.converged
+            assert res.message == ref.message
+            outcomes.append((res.converged, res.iterations > 0))
+    # the ground state is stationary where level 1 is undriven
+    assert outcomes.count((True, False)) <= 2
+    if relax_kw["t_max"] > 10:
+        assert {(True, True), (False, True)} <= set(outcomes)
+    else:
+        assert (True, True) not in outcomes
 
 
 class TestRelaxToSteady:
