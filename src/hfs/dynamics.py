@@ -39,12 +39,16 @@ route of ``scipy.linalg.expm`` on one real matrix: scipy's own kernels
 ``scipy.linalg._matfuncs_expm``, then the squarings.  On a 16x16 generator
 a quarter to a third of an ``expm`` call is its argument checks and batch
 loop, which a relaxation would pay once per chunk; the kernels alone give
-the same matrix bit for bit.  Every product of both routes (squarings,
-matrix-vector products and the exact route's doubling fill) is an
-``np.dot`` call, and the relaxation's squarings write into reused
-buffers: on these contiguous float64 operands ``np.dot`` runs the same
-BLAS kernel as ``@``, so the bits are those of ``@``, without the matmul
-dispatch and, where ``out`` is given, a new array per product.  A
+the same matrix bit for bit.  The relaxation's chunk loop (its
+squarings and its matrix-vector products) and the exact route's
+uniform-grid fill and squarings are ``np.dot`` calls, and the
+relaxation's squarings write into reused buffers: on these contiguous
+float64 operands ``np.dot`` runs the same BLAS kernel as ``@``, so the bits
+are those of ``@``, without the matmul dispatch and, where ``out`` is
+given, a new array per product.  Three products stay ``@``: the
+relaxation's residual at its initial state, taken once per call, the
+exact route's batched propagators applied at requested times, and the
+integrators' right-hand sides.  A
 relaxation chunk whose largest packed element of drho/dt is already at or
 above ``residual_tol`` skips the full residual, which is never smaller.
 The kernels are private to scipy.  This

@@ -13,10 +13,13 @@ Re(rho_ij), and the steady state solves ``M(r(x)) x = e_0`` with couplings
 ``r`` affine in the packed state ``x``.  It is found by Newton's method on
 ``x``, in lockstep over the stack, from the solve at the bare couplings;
 each iterate factors its matrices once, and the Newton matrix is the flow
-Jacobian with the trace row in place.  A point that settles returns its last
-Newton iterate; a point whose Newton step fails to make progress continues
-by a damped Picard iteration, and a clean solve follows at the couplings it
-reaches.
+Jacobian with the trace row in place.  A pass in which every point goes on
+costs the Newton system, the batched solve and a few reductions; the flags
+and the compaction of the live arrays run only in a pass where a point
+leaves.  A point that settles returns its last Newton iterate; a point
+whose Newton step fails to make progress continues by a damped Picard
+iteration, and a clean solve follows at the couplings it reaches.  When
+every point settles, the residuals are taken on the whole stack at once.
 
 :func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
 one drive, both through :func:`_solve_axis`.  The independent checks of the
@@ -51,6 +54,12 @@ _PINNED_ROWS = np.eye(16)[_PINNABLE]
 
 #: packed index of Re(rho_ij) for each coupled pair, in ``PAIRS`` order
 _PAIR_RE = np.array([STATE_COLUMNS.index(f"re_rho{p[::-1]}") for p in PAIRS])
+#: the same indices in increasing order as a slice, and the pairs in that
+#: order: ``_PAIR_RE[_PAIR_ORDER]`` is ``range(16)[_PAIR_SLICE]``
+_PAIR_ORDER = np.argsort(_PAIR_RE)
+_PAIR_SLICE = slice(6, 13, 2)
+#: packed index of Im(rho_ij) for each coupled pair
+_PAIR_IM = _PAIR_RE + 1
 
 _NO_COUPLING = RabiSet(0.0, 0.0, 0.0, 0.0)
 
@@ -254,6 +263,14 @@ def _with_couplings(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
     return base + per_point.reshape(rabi.shape[:-1] + (16, 16))
 
 
+@functools.cache
+def _coupling_rows() -> np.ndarray:
+    """(16, 64) read-only view ``C`` of the coupling slice of :func:`_basis`:
+    ``x @ C`` holds the rows ``(B_q x)_i`` of states ``x`` (N, 16), flat in
+    ``(q, i)``."""
+    return _basis()[_COUPLINGS].reshape(64, 16).T
+
+
 def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Matrix-vector products over a stack: (N, 16, 16) with (N, 16)."""
     return (m @ x[..., None])[..., 0]
@@ -299,14 +316,15 @@ def _newton_system(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     off the pinned rows, ``jac`` is the Jacobian of the equations of motion
     with the couplings following the state.
     """
-    rabi = bare - eps * x[:, _PAIR_RE]
+    rabi = bare - eps * x.take(_PAIR_RE, axis=-1)
     m, kept = _system_rows(_with_couplings(base, rabi))
     f = _apply(m, x) - _TRACE_RHS
-    # the rows (B_q x)_i, from the flat (64, 16) coupling slice, as
-    # columns q
-    bx = (x @ _basis()[_COUPLINGS].reshape(64, 16).T).reshape(len(x), 4, 16)
+    # the rows (B_q x)_i as columns q
+    bx = (x @ _coupling_rows()).reshape(len(x), 4, 16)
     jac = m.copy()
-    jac[..., _PAIR_RE] -= eps * kept[..., None] * bx.swapaxes(-1, -2)
+    # the pair columns as a view, in increasing order
+    jac[..., _PAIR_SLICE] -= (eps * kept[..., None]
+                              * bx.swapaxes(-1, -2))[..., _PAIR_ORDER]
     return rabi, m, f, jac
 
 
@@ -383,8 +401,16 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     ``|f|`` failed to decrease or whose step was not finite (the point
     keeps that iterate), and ``failed`` couplings that all vanish, a solve
     at the bare couplings that was not finite, or a singular matrix that
-    failed a batch.  The live arrays are compacted as points leave, which
-    writes their states out.
+    failed a batch.
+
+    A pass in which every point goes on costs the system, the solve and a
+    few reductions.  The max-abs of each step is not finite exactly where
+    the step is not, and it bounds the step's change in rho from below
+    (``hypot(a, b) >= max(|a|, |b|)``), so that change is taken only in a
+    pass where some step may settle.  The flags are set, and the live
+    arrays compacted (writing out the states of the points that leave),
+    only in a pass where a point leaves; when every point leaves at once,
+    the live arrays are the outputs.
     """
     n = len(base)
     x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
@@ -393,21 +419,21 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     x, live, last, done = (np.zeros((n, 16)), np.arange(n),
                            np.full(n, np.inf), -1)
 
-    def leave(keep, *marks):
-        # flag each (flags, mask) pair's points, write out those not kept
-        nonlocal live, x, m, base, last, step
-        if not keep.all():
-            for flags, mask in marks:
-                flags[live[mask]] = True
-            gone = live[~keep]
-            x_out[gone], m_out[gone] = x[~keep], m[~keep]
-            live, iterations[gone] = live[keep], max(done, 0)
-            if live.size:  # a failed batch keeps none, before any step
-                x, m, base, last, step = (
-                    v[keep] for v in (x, m, base, last, step))
-        return live.size > 0
+    def leave(keep):
+        # write out the points not kept and compact the live arrays
+        nonlocal live, x, m, base, last, step, size, x_out, m_out
+        out = ~keep
+        gone = live[out]
+        if gone.size == n:  # all at once: the live arrays are the outputs
+            x_out, m_out = x, m
+        else:
+            x_out[gone], m_out[gone] = x[out], m[out]
+        live, iterations[gone] = live[keep], max(done, 0)
+        if live.size:  # none left: a failed batch has no step yet
+            x, m, base, last, step, size = (
+                v[keep] for v in (x, m, base, last, step, size))
 
-    while True:
+    while live.size:
         rabi, m, f, jac = _newton_system(base, bare, eps, x)
         try:
             step = np.linalg.solve(jac, f[..., None])[..., 0]
@@ -418,48 +444,52 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                 leave(np.zeros(live.size, dtype=bool))
                 break
             step = np.full_like(f, np.nan)
-        fnorm, finite = np.abs(f).max(axis=-1), np.isfinite(step).all(axis=-1)
-        # a point whose solve at the bare couplings fails has no iterate
-        ok = (rabi != 0.0).any(axis=-1) & (finite | (done >= 0))
-        going = ok & finite & (fnorm < last)
+        fnorm, size = np.abs(f).max(axis=-1), np.abs(step).max(axis=-1)
+        coupled = (rabi != 0.0).any(axis=-1)
+        going = coupled & np.isfinite(size) & (fnorm < last)
         if done >= 0:  # the state x = 0 sets no bar for the bare solve
             last = fnorm
-        if not leave(going, (failed, ~ok), (stalled, ok & ~going)):
-            break
+        if not going.all():
+            # a point whose solve at the bare couplings fails has no iterate
+            ok = coupled & (np.isfinite(size) | (done >= 0))
+            failed[live[~ok]] = True
+            stalled[live[ok & ~going]] = True
+            leave(going)
+            if not live.size:
+                break
         x -= step
         done += 1
-        settled = _rho_max_abs(step) < opts.fp_tol
-        if not leave(~settled & (done < opts.max_iters), (converged, settled)):
-            break
+        if done == opts.max_iters or (size < opts.fp_tol).any():
+            settled = _rho_max_abs(step) < opts.fp_tol
+            converged[live[settled]] = True
+            leave(~settled & (done < opts.max_iters))
     return x_out, m_out, converged, iterations, stalled, failed
 
 
 def _own_residual(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
     """Packed residuals (N, 16) of states ``x`` at their own couplings."""
-    return _apply(_with_couplings(base, bare - eps * x[:, _PAIR_RE]), x)
+    rabi = bare - eps * x.take(_PAIR_RE, axis=-1)
+    return _apply(_with_couplings(base, rabi), x)
 
 
-def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
+def _solve_axis(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                 opts: SolveOptions):
-    """Steady states of ``drive`` at the detunings ``delta_c``, one stack.
+    """Steady states of the affine split ``(base, bare, eps)``, one stack.
 
-    ``drive.delta_c`` is not read.  With the local-field correction, Newton
-    on the packed state runs in lockstep from the solve at the bare
-    couplings (:func:`_lockstep_newton`).  A point it settles returns its
-    last Newton iterate, gated on the residual of the generator at that
-    state's own couplings; one that fails the gate is not settled.  Every
-    other point (continued by :func:`_picard` from its last iterate after a
-    stalled step, or out of iterations) gets a clean solve at the couplings
-    reached, gated on the residual of its generator.  ``residual`` is taken
-    at the couplings of the state returned.
-    Returns ``(x, converged, iterations, residual, failed, m)``, ``failed``
-    marking the points not settled (their other fields mean nothing) and
-    ``m`` holding each point's last system matrix.
+    With the local-field correction, Newton on the packed state runs in
+    lockstep from the solve at the bare couplings (:func:`_lockstep_newton`).
+    A point it settles returns its last Newton iterate, gated on the
+    residual of the generator at that state's own couplings; one that fails
+    the gate is not settled.  Every other point (continued by :func:`_picard`
+    from its last iterate after a stalled step, or out of iterations) gets a
+    clean solve at the couplings reached, gated on the residual of its
+    generator.  ``residual`` is taken at the couplings of the state
+    returned.  Returns ``(x, converged, iterations, residual, failed, m)``,
+    ``failed`` marking the points not settled (their other fields mean
+    nothing) and ``m`` holding each point's last system matrix.
     """
-    base, bare, eps = _affine_split(params, drive, delta_c)
     n = len(base)
-
     if not np.any(eps != 0.0):
         x, a, m, ok = _solve_stack(base, bare)
         resid = _apply(a, x)
@@ -468,6 +498,11 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
 
     x, m, converged, iterations, stalled, failed = _lockstep_newton(
         base, bare, eps, opts)
+    if converged.all():
+        # every point settled: no Picard, no clean solve, no subsets
+        resid = _own_residual(base, bare, eps, x)
+        return x, converged, iterations, _rho_max_abs(resid), ~_gate(resid), m
+
     settled = converged & ~stalled
     for k in np.flatnonzero(stalled):
         try:
@@ -494,15 +529,32 @@ def _solve_axis(params: SystemParams, drive: Drive, delta_c: np.ndarray,
     return x, converged, iterations, residual, failed, m
 
 
+def _state_couplings(bare: np.ndarray, eps: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+    """The couplings (4,) that :func:`effective_rabi` gives at packed ``x``.
+
+    ``bare - eps * Re(rho_ij)``, with the real parts formed as
+    :func:`hfs.model.unpack` forms them: ``x_re + 1j * x_im`` keeps a
+    ``-0.0`` in ``x_re`` only where ``x_im``'s sign bit is set, and
+    ``x_re`` alone would not, which moves the sign of a zero coupling.
+    """
+    return bare - eps * (x.take(_PAIR_RE) + 1j * x.take(_PAIR_IM)).real
+
+
 def _solve_point(params: SystemParams, drive: Drive, delta_c: float,
-                 opts: SolveOptions) -> tuple[np.ndarray, bool, int, float]:
-    """``(x, converged, iterations, residual)`` of :func:`_solve_axis` at
-    one detuning; raises :class:`SingularSystem` where it is not settled."""
+                 opts: SolveOptions
+                 ) -> tuple[np.ndarray, bool, int, float, np.ndarray]:
+    """``(x, converged, iterations, residual, rabi)`` of :func:`_solve_axis`
+    at one detuning, ``rabi`` the couplings (4,) of :func:`effective_rabi`
+    at ``x``; raises :class:`SingularSystem` where it is not settled."""
+    base, bare, eps = _affine_split(params, drive, np.array([delta_c]))
     x, converged, iterations, residual, failed, m = _solve_axis(
-        params, drive, np.array([delta_c]), opts)
+        base, bare, eps, opts)
     if failed[0]:
-        raise _singular(_couplings(bare_rabi(params, drive)), m[0])
-    return x[0], bool(converged[0]), int(iterations[0]), float(residual[0])
+        raise _singular(bare, m[0])
+    x = x[0]
+    rabi = _state_couplings(bare, eps, x) if drive.ndd_enabled else bare
+    return x, bool(converged[0]), int(iterations[0]), float(residual[0]), rabi
 
 
 def solve_selfconsistent(params: SystemParams, drive: Drive,
@@ -517,16 +569,16 @@ def solve_selfconsistent(params: SystemParams, drive: Drive,
     fails to make progress, the damped Picard iteration continues from the
     last iterate.  The returned rho is the last Newton iterate, whose
     couplings are its own, so it satisfies the self-consistent equations to
-    round-off.  Raises :class:`SingularSystem` where the steady state is not
-    unique.
+    round-off; ``rabi_final`` is :func:`effective_rabi` at that rho, taken
+    from the packed state.  Raises :class:`SingularSystem` where the steady
+    state is not unique.
     """
     opts = opts or SolveOptions()
-    x, converged, iterations, residual = _solve_point(params, drive,
-                                                      drive.delta_c, opts)
-    rho = unpack(x)
+    x, converged, iterations, residual, rabi = _solve_point(
+        params, drive, drive.delta_c, opts)
     return SteadyResult(
-        rho=rho, converged=converged, iterations=iterations,
-        residual=residual, rabi_final=effective_rabi(params, drive, rho),
+        rho=unpack(x), converged=converged, iterations=iterations,
+        residual=residual, rabi_final=RabiSet(*rabi.tolist()),
         message="" if converged else
         f"fixed-point iteration did not converge in {opts.max_iters} steps")
 
@@ -541,17 +593,21 @@ def solve_grid(params: SystemParams, omega: float, delta_c,
     the packed states runs in lockstep over the stack instead, one batched
     LU per iterate (see :func:`_solve_axis`).  A point the stack does not
     settle is solved again as a one-point stack, and its
-    :class:`SingularSystem` marks the point singular.
+    :class:`SingularSystem` marks the point singular.  Raises
+    ``ValueError`` before any solve where ``delta_c`` is not a 1-D array of
+    finite detunings.
     """
     opts = opts or SolveOptions()
     delta_c = np.asarray(delta_c, dtype=float)
+    if delta_c.ndim != 1 or not np.isfinite(delta_c).all():
+        raise ValueError("delta_c must be a 1-D array of finite detunings")
     drive = Drive(omega=omega, ndd_enabled=ndd_enabled)
     x, converged, iterations, residual, failed, _ = _solve_axis(
-        params, drive, delta_c, opts)
+        *_affine_split(params, drive, delta_c), opts)
     singular = np.zeros(len(x), dtype=bool)
     for k in np.flatnonzero(failed):
         try:
-            x[k], converged[k], iterations[k], residual[k] = _solve_point(
+            x[k], converged[k], iterations[k], residual[k], _ = _solve_point(
                 params, drive, delta_c[k], opts)
         except SingularSystem:
             singular[k] = True

@@ -8,7 +8,7 @@ import pytest
 import hfs
 import hfs.steady
 from hfs.model import pack, unpack
-from hfs.params import bare_rabi
+from hfs.params import RabiSet, bare_rabi
 from hfs.steady import generator_matrix
 
 
@@ -141,6 +141,54 @@ class TestSelfConsistent:
         assert not res.converged
         assert res.message != ""
 
+    def test_rabi_final_from_packed_state_matches_effective_rabi(self):
+        # the couplings of a packed state equal effective_rabi's on the
+        # unpacked rho bit for bit, the sign of a zero coupling included: a
+        # bare coupling is -0.0 where mu or omega is, and unpack keeps a
+        # -0.0 real part only where the imaginary part's sign bit is set
+        from dataclasses import astuple
+        from itertools import product
+        from hfs.params import effective_rabi
+        from hfs.steady import _PAIR_RE, _affine_split, _state_couplings
+        p = hfs.sodium_d1()
+        cases = [(p.replace(mu13=-0.0), hfs.Drive(omega=5.0)),
+                 (p, hfs.Drive(omega=-0.0)),
+                 (p.replace(mu24=-0.0), hfs.Drive(omega=2.0, epsilon={
+                     "13": -0.0, "14": 0.0, "23": 2.5, "24": 0.0}))]
+        rng = np.random.default_rng(37)
+        signs = (0.0, -0.0, 0.25, -0.25)
+        plain_differs = 0
+        for params, drive in cases:
+            drive = drive.replace(ndd_enabled=True)
+            _, bare, eps = _affine_split(params, drive, np.zeros(1))
+            for re, im in product(signs, signs):
+                x = rng.normal(scale=0.1, size=16)
+                x[_PAIR_RE], x[_PAIR_RE + 1] = re, im
+                ref = np.array(astuple(effective_rabi(params, drive,
+                                                      unpack(x))))
+                got = _state_couplings(bare, eps, x)
+                assert got.tobytes() == ref.tobytes()
+                plain = bare - eps * x[_PAIR_RE]
+                plain_differs += plain.tobytes() != ref.tobytes()
+        # taking Re(rho_ij) as x_re alone would move the sign of a zero
+        assert plain_differs > 0
+
+    @pytest.mark.parametrize("ndd", [False, True])
+    def test_rabi_final_is_effective_rabi_of_rho(self, ndd):
+        from dataclasses import astuple
+        from hfs.params import effective_rabi
+        rng = np.random.default_rng(41)
+        for params in (hfs.sodium_d1(), hfs.sodium_d1().replace(mu13=-0.0),
+                       random_params(rng, 3)):
+            for omega, dc in ((0.5, -1.0), (5.0, 0.2), (40.0, 2.5)):
+                drive = hfs.Drive(omega=omega, delta_c=dc * params.delta_u,
+                                  ndd_enabled=ndd)
+                res = hfs.solve_selfconsistent(params, drive)
+                ref = effective_rabi(params, drive, res.rho)
+                assert all(type(v) is float for v in astuple(res.rabi_final))
+                assert (np.array(astuple(res.rabi_final)).tobytes()
+                        == np.array(astuple(ref)).tobytes())
+
 
 class TestNewton:
     """Newton on the packed state against the damped-Picard fallback."""
@@ -178,6 +226,25 @@ class TestNewton:
             assert a.converged and b.converged
             assert a.iterations < b.iterations
             assert np.max(np.abs(a.rho - b.rho)) < 1e-12
+
+    def test_pair_columns_as_a_slice(self):
+        # the Newton matrix updates the Re(rho_ij) columns as one view
+        from hfs.steady import _PAIR_ORDER, _PAIR_RE, _PAIR_SLICE
+        assert np.array_equal(np.arange(16)[_PAIR_SLICE],
+                              _PAIR_RE[_PAIR_ORDER])
+
+    def test_step_max_abs_bounds_its_change_in_rho(self):
+        # the lockstep takes a step's full change in rho only where the
+        # step's max-abs is below fp_tol: hypot(a, b) >= max(|a|, |b|)
+        from hfs.steady import _rho_max_abs
+        rng = np.random.default_rng(43)
+        steps = rng.normal(size=(4000, 16)) * 10.0 ** rng.uniform(
+            -320, 300, size=(4000, 1))
+        steps[:1000, 4::2] = steps[:1000, 5::2]
+        steps[1000:2000, 5::2] = np.spacing(steps[1000:2000, 4::2])
+        steps[2000:2100] = np.array([5e-324, -0.0, 1.7976931348623157e308,
+                                     0.0] * 4)
+        assert np.all(np.abs(steps).max(axis=-1) <= _rho_max_abs(steps))
 
     def test_jacobian_matches_finite_differences(self, params):
         # the Newton matrix against central differences of the flow that
@@ -672,6 +739,27 @@ class TestGrid:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ndd", [False, True])
+    @pytest.mark.parametrize("delta_c", [
+        [0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [[0.0, 1.0]], 3.0,
+    ], ids=["nan", "inf", "-inf", "2-d", "scalar"])
+    def test_invalid_detunings_rejected(self, monkeypatch, ndd, delta_c):
+        # a ValueError before any solve: NaN used to reach np.linalg.cond
+        # (LinAlgError), inf to warn first, a 2-D grid to fail a broadcast
+        def never(*args):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(hfs.steady, "_affine_split", never)
+        with pytest.raises(ValueError, match="delta_c"):
+            hfs.solve_grid(hfs.sodium_d1_cyclic_splittings(), 5.0, delta_c,
+                           ndd)
+
+    def test_empty_grid(self):
+        for ndd in (False, True):
+            sol = hfs.solve_grid(hfs.sodium_d1(), 5.0, [], ndd)
+            assert sol.x.shape == (0, 16) and sol.singular.shape == (0,)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ndd", [False, True])
     def test_singular_grid_flagged(self, ndd):
         # without decay every point lacks a unique steady state
         p = hfs.sodium_d1().replace(gamma31=0.0, gamma32=0.0, gamma41=0.0,
@@ -769,3 +857,347 @@ def test_dynamics_names_load_on_first_use():
     assert all(namespace[name] is getattr(hfs, name) for name in hfs.__all__)
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         hfs.no_such_name
+
+
+# -- the NDD-on solve against its pre-change form ---------------------------
+#
+# The Newton lockstep before its passes skipped the bookkeeping of points
+# that go on: the marks and the compaction ran on every pass, the settle
+# test took the full change in rho of every step, the tail of _solve_axis
+# indexed subsets even when every point settled, and rabi_final came from
+# effective_rabi on the unpacked rho.  These reference functions keep that
+# form; the solver must give the same bytes.
+
+def ref_system_rows(a):
+    from hfs.steady import (_PINNABLE, _PINNED_ROWS, _TRACE_ROW,
+                            _ZERO_ROW_TOL)
+    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)[..., None]
+    kept = np.full(a.shape[:-1], True)
+    kept[..., 0] = False
+    kept[..., _PINNABLE] = (np.abs(a[..., _PINNABLE, :]).max(axis=-1)
+                            >= _ZERO_ROW_TOL * scale)
+    m = a.copy()
+    m[..., 0, :] = _TRACE_ROW
+    if not kept[..., _PINNABLE].all():
+        m[..., _PINNABLE, :] = np.where(kept[..., _PINNABLE, None],
+                                        m[..., _PINNABLE, :], _PINNED_ROWS)
+    return m, kept
+
+
+def ref_newton_system(base, bare, eps, x):
+    from hfs.steady import (_COUPLINGS, _PAIR_RE, _TRACE_RHS, _apply,
+                            _basis, _with_couplings)
+    rabi = bare - eps * x[:, _PAIR_RE]
+    m, kept = ref_system_rows(_with_couplings(base, rabi))
+    f = _apply(m, x) - _TRACE_RHS
+    bx = (x @ _basis()[_COUPLINGS].reshape(64, 16).T).reshape(len(x), 4, 16)
+    jac = m.copy()
+    jac[..., _PAIR_RE] -= eps * kept[..., None] * bx.swapaxes(-1, -2)
+    return rabi, m, f, jac
+
+
+def ref_lockstep_newton(base, bare, eps, opts):
+    from hfs.steady import _rho_max_abs
+    n = len(base)
+    x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
+    failed, stalled, converged = np.zeros((3, n), dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    x, live, last, done = (np.zeros((n, 16)), np.arange(n),
+                           np.full(n, np.inf), -1)
+
+    def leave(keep, *marks):
+        nonlocal live, x, m, base, last, step
+        if not keep.all():
+            for flags, mask in marks:
+                flags[live[mask]] = True
+            gone = live[~keep]
+            x_out[gone], m_out[gone] = x[~keep], m[~keep]
+            live, iterations[gone] = live[keep], max(done, 0)
+            if live.size:
+                x, m, base, last, step = (
+                    v[keep] for v in (x, m, base, last, step))
+        return live.size > 0
+
+    while True:
+        rabi, m, f, jac = ref_newton_system(base, bare, eps, x)
+        try:
+            step = np.linalg.solve(jac, f[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            if live.size > 1:
+                failed[live] = True
+                leave(np.zeros(live.size, dtype=bool))
+                break
+            step = np.full_like(f, np.nan)
+        fnorm, finite = np.abs(f).max(axis=-1), np.isfinite(step).all(axis=-1)
+        ok = (rabi != 0.0).any(axis=-1) & (finite | (done >= 0))
+        going = ok & finite & (fnorm < last)
+        if done >= 0:
+            last = fnorm
+        if not leave(going, (failed, ~ok), (stalled, ok & ~going)):
+            break
+        x -= step
+        done += 1
+        settled = _rho_max_abs(step) < opts.fp_tol
+        if not leave(~settled & (done < opts.max_iters), (converged, settled)):
+            break
+    return x_out, m_out, converged, iterations, stalled, failed
+
+
+def ref_solve_axis(params, drive, delta_c, opts):
+    from hfs.steady import (_PAIR_RE, SingularSystem, _affine_split, _apply,
+                            _gate, _picard, _rho_max_abs, _solve_stack,
+                            _with_couplings)
+
+    def own_residual(base, x):
+        return _apply(_with_couplings(base, bare - eps * x[:, _PAIR_RE]), x)
+
+    base, bare, eps = _affine_split(params, drive, delta_c)
+    n = len(base)
+    if not np.any(eps != 0.0):
+        x, a, m, ok = _solve_stack(base, bare)
+        resid = _apply(a, x)
+        return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),
+                _rho_max_abs(resid), ~(ok & _gate(resid)), m)
+    x, m, converged, iterations, stalled, failed = ref_lockstep_newton(
+        base, bare, eps, opts)
+    settled = converged & ~stalled
+    for k in np.flatnonzero(stalled):
+        try:
+            x[k], converged[k], iterations[k] = _picard(
+                base[k:k + 1], bare, eps, opts, x[k], iterations[k])
+        except SingularSystem:
+            failed[k] = True
+    live = np.flatnonzero(~failed)
+    resid = own_residual(base[live], x[live])
+    keep = settled[live]
+    failed[live[keep & ~_gate(resid)]] = True
+    redo = live[~keep]
+    if redo.size:
+        x_redo, a, m[redo], ok = _solve_stack(
+            base[redo], bare - eps * x[redo][:, _PAIR_RE])
+        failed[redo[~(ok & _gate(_apply(a, x_redo)))]] = True
+        x[redo] = x_redo
+        resid[~keep] = own_residual(base[redo], x_redo)
+    residual = np.full(n, np.nan)
+    residual[live] = _rho_max_abs(resid)
+    return x, converged, iterations, residual, failed, m
+
+
+def ref_solve_point(params, drive, delta_c, opts):
+    from hfs.steady import _couplings, _singular
+    x, converged, iterations, residual, failed, m = ref_solve_axis(
+        params, drive, np.array([delta_c]), opts)
+    if failed[0]:
+        raise _singular(_couplings(bare_rabi(params, drive)), m[0])
+    return x[0], bool(converged[0]), int(iterations[0]), float(residual[0])
+
+
+def ref_solve_selfconsistent(params, drive, opts):
+    from hfs.params import effective_rabi
+    x, converged, iterations, residual = ref_solve_point(
+        params, drive, drive.delta_c, opts)
+    rho = unpack(x)
+    return hfs.SteadyResult(
+        rho=rho, converged=converged, iterations=iterations,
+        residual=residual, rabi_final=effective_rabi(params, drive, rho),
+        message="" if converged else
+        f"fixed-point iteration did not converge in {opts.max_iters} steps")
+
+
+def ref_solve_grid(params, omega, delta_c, opts):
+    delta_c = np.asarray(delta_c, dtype=float)
+    drive = hfs.Drive(omega=omega, ndd_enabled=True)
+    x, converged, iterations, residual, failed, _ = ref_solve_axis(
+        params, drive, delta_c, opts)
+    singular = np.zeros(len(x), dtype=bool)
+    for k in np.flatnonzero(failed):
+        try:
+            x[k], converged[k], iterations[k], residual[k] = ref_solve_point(
+                params, drive, delta_c[k], opts)
+        except hfs.SingularSystem:
+            singular[k] = True
+    x[singular], residual[singular] = np.nan, np.nan
+    converged[singular], iterations[singular] = False, 0
+    return hfs.steady.GridSolution(
+        x=x, converged=converged, iterations=iterations, residual=residual,
+        singular=singular)
+
+
+def assert_same_bytes(got, ref):
+    """Every field of two GridSolutions or SteadyResults, byte for byte."""
+    from dataclasses import astuple, fields
+    for field in fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        elif isinstance(b, float):
+            assert type(a) is float and repr(a) == repr(b), field.name
+        elif isinstance(b, RabiSet):
+            assert [type(v) for v in astuple(a)] == [float] * 4
+            assert (np.array(astuple(a)).tobytes()
+                    == np.array(astuple(b)).tobytes()), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def assert_same_solves(params, omega, grid, opts):
+    """solve_grid, and solve_selfconsistent at every grid point, against the
+    reference, bytes and errors alike; returns the grid solution."""
+    sol = hfs.solve_grid(params, omega, grid, True, opts)
+    assert_same_bytes(sol, ref_solve_grid(params, omega, grid, opts))
+    for dc in grid:
+        drive = hfs.Drive(omega=omega, delta_c=float(dc), ndd_enabled=True)
+        try:
+            ref = ref_solve_selfconsistent(params, drive, opts)
+        except hfs.SingularSystem as exc:
+            with pytest.raises(hfs.SingularSystem) as got:
+                hfs.solve_selfconsistent(params, drive, opts)
+            assert str(got.value) == str(exc)
+            continue
+        assert_same_bytes(hfs.solve_selfconsistent(params, drive, opts), ref)
+    return sol
+
+
+def assert_same_lockstep(params, omega, grid, opts):
+    """The lockstep's 6-tuple on the whole stack and on each one-point
+    stack, against the reference lockstep."""
+    from hfs.steady import _affine_split, _lockstep_newton
+    base, bare, eps = _affine_split(
+        params, hfs.Drive(omega=omega, ndd_enabled=True), grid)
+    for stack in [base] + [base[k:k + 1] for k in range(len(base))]:
+        got = _lockstep_newton(stack, bare, eps, opts)
+        ref = ref_lockstep_newton(stack, bare, eps, opts)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMatchesPreChangeSolve:
+    """The NDD-on solve against the pre-change lockstep, byte for byte."""
+
+    @pytest.mark.parametrize("omega", [0.5, 5.0, 20.0, 100.0])
+    def test_paper_parameters(self, omega):
+        from hfs.config import parse_config
+        p = parse_config(CONFIG.read_text()).system_params()
+        grid = np.linspace(-5.0, 5.0, 21) * p.delta_u
+        sol = assert_same_solves(p, omega, grid, hfs.SolveOptions())
+        assert sol.converged.all()
+        assert_same_lockstep(p, omega, grid[::4], hfs.SolveOptions())
+
+    def test_dark_level_parameter_sets(self):
+        # pinned population rows, zero decay rates and dipoles
+        rng = np.random.default_rng(29)
+        for dark in (None, 2, 3, 4) * 2:
+            p = random_params(rng, dark)
+            omega = float(np.exp(rng.uniform(np.log(0.3), np.log(60.0))))
+            grid = np.sort(rng.uniform(-3.0, 3.0, 5)) * p.delta_u
+            assert_same_solves(p, omega, grid, hfs.SolveOptions())
+            assert_same_lockstep(p, omega, grid, hfs.SolveOptions())
+
+    @pytest.mark.parametrize("density", ["100x", "300x"])
+    def test_high_density_stalls_to_picard(self, density, monkeypatch):
+        # Newton stalls on some points, which Picard continues, some of them
+        # up to max_iters
+        if density == "100x":
+            from hfs.config import parse_config
+            p = parse_config(CONFIG.read_text()).system_params()
+            p = p.replace(number_density=1.5e22)
+            grid = np.linspace(0.0, 0.12, 5) * p.delta_u
+        else:
+            p = hfs.sodium_d1()
+            p = p.replace(number_density=300.0 * p.number_density)
+            grid = (np.linspace(-3.0, 3.0, 121)[[0, 40, 46, 50, 62, 90]]
+                    * p.delta_u)
+        picard, continued = hfs.steady._picard, []
+
+        def counted(*args):
+            continued.append(args[-1])
+            return picard(*args)
+
+        monkeypatch.setattr(hfs.steady, "_picard", counted)
+        for max_iters in (1, 5, 40):
+            opts = hfs.SolveOptions(max_iters=max_iters)
+            sol = assert_same_solves(p, 100.0, grid, opts)
+            assert not sol.converged.all()
+            assert_same_lockstep(p, 100.0, grid, opts)
+        assert continued
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5])
+    def test_max_iters_caps(self, max_iters):
+        p = hfs.sodium_d1()
+        grid = np.linspace(-1.0, 1.0, 5) * p.delta_u
+        opts = hfs.SolveOptions(max_iters=max_iters)
+        for omega in (0.5, 5.0, 100.0):
+            assert_same_solves(p, omega, grid, opts)
+            assert_same_lockstep(p, omega, grid, opts)
+
+    def test_pinned_epsilon(self):
+        # pinned local-field strengths, all zero included (the fixed
+        # generator route with the correction on), and signed zeros
+        p = hfs.sodium_d1()
+        for eps in ({"13": 0.0, "14": 0.0, "23": 0.0, "24": 0.0},
+                    {"13": -0.0, "14": 0.0, "23": -0.0, "24": 0.0},
+                    {"13": 3.0, "14": 0.0, "23": 7.5, "24": 1.25},
+                    {"13": 40.0, "14": 40.0, "23": 40.0, "24": 40.0}):
+            drives = [hfs.Drive(omega=om, delta_c=dc * p.delta_u,
+                                ndd_enabled=True, epsilon=eps)
+                      for om in (0.5, 5.0, 20.0) for dc in (-1.0, 0.1, 2.0)]
+            for d in drives:
+                assert_same_bytes(
+                    hfs.solve_selfconsistent(p, d),
+                    ref_solve_selfconsistent(p, d, hfs.SolveOptions()))
+
+    def test_singular_batches(self):
+        # without decay every Newton matrix is singular and fails its
+        # batch; without drive every coupling vanishes
+        opts = hfs.SolveOptions()
+        grid = np.linspace(-2.0, 2.0, 5)
+        p = hfs.sodium_d1().replace(gamma31=0.0, gamma32=0.0, gamma41=0.0,
+                                    gamma42=0.0)
+        sol = assert_same_solves(p, 2.0, grid, opts)
+        assert sol.singular.all()
+        sol = assert_same_solves(hfs.sodium_d1(), 0.0, grid, opts)
+        assert sol.singular.all()
+        assert_same_lockstep(p, 2.0, grid, opts)
+        assert_same_lockstep(hfs.sodium_d1(), 0.0, grid, opts)
+
+    @pytest.mark.parametrize("fault", ["nan", "uphill"])
+    @pytest.mark.parametrize("max_iters", [1, 2, 500])
+    def test_faulted_newton_steps(self, monkeypatch, fault, max_iters):
+        # every Newton step after the solve at the bare couplings is not
+        # finite, or three times Newton's step backwards: every point stops
+        # in the same pass, and Picard takes over
+        def faulty(newton_system):
+            def system(base, bare, eps, x):
+                out = newton_system(base, bare, eps, x)
+                moved = np.any(x != 0.0, axis=-1)
+                if fault == "nan":
+                    out[3][moved] = np.nan
+                else:
+                    out[3][moved] *= -1.0 / 3.0
+                return out
+            return system
+
+        monkeypatch.setattr(hfs.steady, "_newton_system",
+                            faulty(hfs.steady._newton_system))
+        monkeypatch.setitem(globals(), "ref_newton_system",
+                            faulty(ref_newton_system))
+        p = hfs.sodium_d1()
+        grid = np.linspace(-1.0, 1.0, 3) * p.delta_u
+        opts = hfs.SolveOptions(max_iters=max_iters)
+        sol = assert_same_solves(p, 5.0, grid, opts)
+        assert sol.converged.all() == (max_iters == 500)
+        assert_same_lockstep(p, 5.0, grid, opts)
+
+    def test_random_drives_one_point(self):
+        # one-point stacks over the benchmark's drive range
+        rng = np.random.default_rng(31)
+        p = hfs.sodium_d1()
+        drives = [hfs.Drive(
+            omega=float(np.exp(rng.uniform(np.log(0.5), np.log(100.0)))),
+            delta_c=float(rng.uniform(-5.0, 5.0)) * p.delta_u,
+            ndd_enabled=True) for _ in range(40)]
+        for d in drives:
+            assert_same_bytes(
+                hfs.solve_selfconsistent(p, d),
+                ref_solve_selfconsistent(p, d, hfs.SolveOptions()))
