@@ -6,7 +6,9 @@ builds from ``rhs_verbatim``: at packed state ``x`` the couplings are
 generator is ``A(x) = A_bare - sum_q eps_q Re(x_p)_q B_q`` with ``A_bare`` the
 generator at the bare couplings and ``B_q`` the coupling slice of the
 generator basis.  With the local-field correction off (``eps = 0``) it is the
-fixed matrix ``A_bare``.
+fixed matrix ``A_bare``.  The relaxation refreshes it as ``A_bare - x G``,
+with the steady layer's constant state matrix ``G``, which gives the
+generator at the state's couplings bit for bit.
 
 With a fixed generator (the correction off, or every ``eps`` zero) the
 flow is linear and ``evolve`` propagates it exactly, ``x(t) = expm(A_bare t)
@@ -79,7 +81,7 @@ from .model import (STATE_COLUMNS, ground_state, pack, unpack,
                     validate_density_matrix)
 from .params import Drive, RabiSet, SystemParams, effective_rabi
 from .steady import (_COUPLINGS, _PAIR_RE, SteadyResult, _affine_split,
-                     _basis, _rho_max_abs, _with_couplings)
+                     _basis, _rho_max_abs, _state_linear, _with_couplings)
 
 _TRACE_DEFECT_LIMIT = 1e-9
 
@@ -109,7 +111,7 @@ def _affine_rhs(a_bare: np.ndarray, eps: np.ndarray):
     """``f(t, x)``, the packed equations of motion on the affine split:
     ``a_bare x - (eps * x[_PAIR_RE]) . (B x)``, one matvec when ``eps`` is
     zero."""
-    if not np.any(eps != 0.0):
+    if not eps.any():
         return lambda t, x: a_bare @ x
     basis = _basis()[_COUPLINGS]
     return lambda t, x: a_bare @ x - (eps * x[_PAIR_RE]) @ (basis @ x)
@@ -241,7 +243,7 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
         raise ValueError("t_end * ||A_bare||_1 overflows: t_end is too long "
                          "for this drive")
 
-    if method is None and not np.any(eps != 0.0):
+    if method is None and not eps.any():
         t, xs = _propagate(a_bare, x0, t_end, t_eval)
     else:
         # imported here so that the exact routes never load the integrator
@@ -312,8 +314,10 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     def couplings(x):
         return bare - eps * x[_PAIR_RE]
 
+    # the generator at the state's couplings, a_bare - x @ g
+    a_bare, g = _with_couplings(base[0], bare), _state_linear(eps)
     x = pack(rho)
-    a = _with_couplings(base[0], couplings(x))
+    a = a_bare - np.dot(x, g).reshape(16, 16)
     resid = float(_rho_max_abs(a @ x))
     if drive.omega == 0.0 and not np.any(couplings(x)):
         return SteadyResult(rho=rho, converged=False, iterations=0,
@@ -345,7 +349,7 @@ def relax_to_steady(params: SystemParams, drive: Drive,
         chunk *= 2.0
         iterations += 1
         if not fixed:
-            a = _with_couplings(base[0], couplings(x))
+            a = a_bare - np.dot(x, g).reshape(16, 16)
         v = np.dot(a, x)
         # max|v| <= _rho_max_abs(v): a chunk with max|v| at or above the
         # tolerance is not converged; a NaN goes on to the full residual

@@ -9,6 +9,8 @@ of gamma (rad/s) and is only used when converting to/from laboratory units
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -135,10 +137,15 @@ class Drive:
         if self.omega < 0:
             raise ValueError("omega must be >= 0")
         if self.epsilon is not None:
-            if set(self.epsilon) != set(PAIRS):
-                raise ValueError(f"epsilon must have keys {PAIRS}")
-            if not all(0 <= v < math.inf for v in self.epsilon.values()):
-                raise ValueError("epsilon values must be finite and >= 0")
+            if (not isinstance(self.epsilon, Mapping)
+                    or set(self.epsilon) != set(PAIRS)):
+                raise ValueError(
+                    f"epsilon must be a mapping with keys {PAIRS}")
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       and 0 <= v < math.inf
+                       for v in self.epsilon.values()):
+                raise ValueError("epsilon values must be real numbers, "
+                                 "finite and >= 0")
 
     def delta(self, params: SystemParams) -> float:
         """Bare field detuning from the |3>-|2> line."""

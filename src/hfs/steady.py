@@ -13,13 +13,18 @@ Re(rho_ij), and the steady state solves ``M(r(x)) x = e_0`` with couplings
 ``r`` affine in the packed state ``x``.  It is found by Newton's method on
 ``x``, in lockstep over the stack, from the solve at the bare couplings;
 each iterate factors its matrices once, and the Newton matrix is the flow
-Jacobian with the trace row in place.  A pass in which every point goes on
-costs the Newton system, the batched solve and a few reductions; the flags
-and the compaction of the live arrays run only in a pass where a point
-leaves.  A point that settles returns its last Newton iterate; a point
-whose Newton step fails to make progress continues by a damped Picard
-iteration, and a clean solve follows at the couplings it reaches.  When
-every point settles, the residuals are taken on the whole stack at once.
+Jacobian with the trace row in place.  The couplings are affine in ``x``,
+and so, exactly, is the system matrix: ``M(r(x)) = M(r(0)) - x G``, with
+``M(r(0))`` and a constant ``G`` made once per stack, so a pass forms its
+matrices from one product and never rebuilds a generator.  The same ``G``
+refreshes the relaxation's generator in :mod:`hfs.dynamics`.  A pass in
+which every point goes on costs the Newton system, the batched solve and a
+few reductions; the flags and the compaction of the live arrays run only
+in a pass where a point leaves.  A point that settles returns its last
+Newton iterate; a point whose Newton step fails to make progress continues
+by a damped Picard iteration, and a clean solve follows at the couplings
+it reaches.  When every point settles, the residuals are taken on the
+whole stack at once.
 
 :func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
 one drive, both through :func:`_solve_axis`.  The independent checks of the
@@ -211,11 +216,11 @@ def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and a unit row over each pinned one; a row is zero below ``_ZERO_ROW_TOL``
     times its matrix's max-abs (at least 1).
     """
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)[..., None]
-    kept = np.full(a.shape[:-1], True)
+    rows = np.abs(a).max(axis=-1)
+    scale = np.maximum(rows.max(axis=-1), 1.0)[..., None]
+    kept = np.ones(a.shape[:-1], dtype=bool)
     kept[..., 0] = False
-    kept[..., _PINNABLE] = (np.abs(a[..., _PINNABLE, :]).max(axis=-1)
-                            >= _ZERO_ROW_TOL * scale)
+    kept[..., _PINNABLE] = rows[..., _PINNABLE] >= _ZERO_ROW_TOL * scale
     m = a.copy()
     m[..., 0, :] = _TRACE_ROW
     if not kept[..., _PINNABLE].all():
@@ -263,12 +268,38 @@ def _with_couplings(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
     return base + per_point.reshape(rabi.shape[:-1] + (16, 16))
 
 
+def _state_linear(eps: np.ndarray) -> np.ndarray:
+    """(16, 256) matrix ``G`` of the generators' dependence on the state.
+
+    The couplings at packed state ``x`` are ``bare - eps * x[_PAIR_RE]``,
+    so the generator there is ``A_bare - (x @ G).reshape(16, 16)``, with
+    ``A_bare`` the generator at the bare couplings and row ``_PAIR_RE[q]``
+    of ``G`` holding ``eps_q * B_q`` flat (``B_q`` the coupling slice of
+    :func:`_basis`), every other row zero.  The two forms agree bit for
+    bit: ``B_q`` holds only 0, +-1 and +-2, so each ``eps_q * B_q`` is
+    exact; at most one coupling enters each entry; and no rate, splitting
+    or detuning enters where a coupling does.
+    """
+    g = np.zeros((16, 256))
+    g[_PAIR_SLICE] = eps[_PAIR_ORDER, None] * _pair_basis().reshape(4, -1)
+    return g
+
+
 @functools.cache
-def _coupling_rows() -> np.ndarray:
-    """(16, 64) read-only view ``C`` of the coupling slice of :func:`_basis`:
-    ``x @ C`` holds the rows ``(B_q x)_i`` of states ``x`` (N, 16), flat in
-    ``(q, i)``."""
-    return _basis()[_COUPLINGS].reshape(64, 16).T
+def _pair_basis() -> np.ndarray:
+    """(4, 16, 16) read-only coupling slice of :func:`_basis`, the
+    couplings in ``_PAIR_ORDER``."""
+    basis = _basis()[_COUPLINGS][_PAIR_ORDER]
+    basis.flags.writeable = False
+    return basis
+
+
+@functools.cache
+def _pair_rows() -> np.ndarray:
+    """(16, 64) read-only view ``C`` of :func:`_pair_basis`: ``x @ C``
+    holds the rows ``(B_q x)_i`` of states ``x`` (N, 16), flat in ``(q,
+    i)``, with the couplings ``q`` in ``_PAIR_ORDER``."""
+    return _pair_basis().reshape(64, 16).T
 
 
 def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -303,28 +334,68 @@ def _solve_stack(base: np.ndarray, rabi: np.ndarray):
     return x, a, m, ok
 
 
-def _newton_system(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+def _newton_stack(base: np.ndarray, bare: np.ndarray, eps: np.ndarray):
+    """``(stack, rows)``: the constants of :func:`_newton_system`.
+
+    ``stack = (bare, eps, g, pinned)`` holds what every point shares: ``g``
+    is :func:`_state_linear` with the generator's row 0 zeroed, since the
+    trace row does not follow the state, and ``pinned`` tells whether any
+    point has a pinned row.  ``rows = (m0, kept, epsk)`` holds one entry
+    per point: the system matrices and kept rows of :func:`_system_rows` at
+    the bare couplings, and ``eps * kept`` with the couplings in
+    ``_PAIR_ORDER``, shape (N, 16, 4).
+
+    The pinned rows are taken once, at the bare couplings, and Newton
+    cannot change them: a population row is pinned only when its level has
+    no decay and no nonzero coupling, and then the coherences of that
+    level, whose real parts are all that its couplings follow, stay zero.
+    Only a decay rate within a hair of ``_ZERO_ROW_TOL`` times the matrix's
+    max-abs, which the other levels' couplings move, could be pinned at
+    one state and kept at another; the rows pinned at the bare couplings
+    then hold for the whole run.
+    """
+    m0, kept = _system_rows(_with_couplings(base, bare))
+    g = _state_linear(eps)
+    g.reshape(16, 16, 16)[:, 0] = 0.0
+    epsk = eps[_PAIR_ORDER] * kept[..., None]
+    return (bare, eps, g, not kept[..., _PINNABLE].all()), (m0, kept, epsk)
+
+
+def _newton_system(base: np.ndarray, stack: tuple, rows: tuple,
                    x: np.ndarray):
     """``(rabi, m, f, jac)``: Newton's system at packed states ``x`` (N, 16).
 
-    ``rabi`` holds the couplings ``bare - eps * x[_PAIR_RE]`` of each state,
-    ``m`` the system matrices of :func:`_system_rows` at them, ``f = m x -
-    e_0`` the residual of the steady-state system, and ``jac`` its
-    derivative in ``x``: ``m - sum_q eps_q (B~_q x) e_{p_q}^T``, where
-    ``B~_q`` is the coupling slice of :func:`_basis` with the trace and
-    pinned rows zeroed and ``p_q = _PAIR_RE[q]``.  Below the trace row and
-    off the pinned rows, ``jac`` is the Jacobian of the equations of motion
-    with the couplings following the state.
+    ``stack`` and ``rows`` are the constants of :func:`_newton_stack`;
+    ``base``, the points' generators without couplings, names the points
+    and is not read.  ``rabi`` holds the couplings ``bare - eps *
+    x[_PAIR_RE]`` of each state, ``m`` the system matrices of
+    :func:`_system_rows` at them, ``f = m x - e_0`` the residual of the
+    steady-state system, and ``jac`` its derivative in ``x``: ``m - sum_q
+    eps_q (B~_q x) e_{p_q}^T``, where ``B~_q`` is the coupling slice of
+    :func:`_basis` with the trace and pinned rows zeroed and ``p_q =
+    _PAIR_RE[q]``.  Below the trace row and off the pinned rows, ``jac`` is
+    the Jacobian of the equations of motion with the couplings following
+    the state.
+
+    ``m`` is affine in ``x``, ``m0 - (x @ g).reshape(N, 16, 16)``, the
+    pinned rows set again where there are any; it is the matrix that
+    :func:`_system_rows` builds from the generators at ``rabi``, bit for
+    bit (see :func:`_state_linear`), wherever those pin the rows that the
+    bare couplings pin (see :func:`_newton_stack`).
     """
+    bare, eps, g, pinned = stack
+    m0, kept, epsk = rows
     rabi = bare - eps * x.take(_PAIR_RE, axis=-1)
-    m, kept = _system_rows(_with_couplings(base, rabi))
+    m = m0 - (x @ g).reshape(m0.shape)
+    if pinned:
+        m[..., _PINNABLE, :] = np.where(kept[..., _PINNABLE, None],
+                                        m[..., _PINNABLE, :], _PINNED_ROWS)
     f = _apply(m, x) - _TRACE_RHS
-    # the rows (B_q x)_i as columns q
-    bx = (x @ _coupling_rows()).reshape(len(x), 4, 16)
+    # the rows (B_q x)_i as columns q, in _PAIR_ORDER
+    bx = (x @ _pair_rows()).reshape(len(x), 4, 16)
     jac = m.copy()
     # the pair columns as a view, in increasing order
-    jac[..., _PAIR_SLICE] -= (eps * kept[..., None]
-                              * bx.swapaxes(-1, -2))[..., _PAIR_ORDER]
+    jac[..., _PAIR_SLICE] -= epsk * bx.swapaxes(-1, -2)
     return rabi, m, f, jac
 
 
@@ -390,8 +461,9 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                      opts: SolveOptions):
     """Cold Newton on the packed states of every point of a stack at once.
 
-    Each pass builds :func:`_newton_system` at the live states and takes
-    the step ``-jac^-1 f`` in one batched solve.  From ``x = 0``, where
+    The constants of :func:`_newton_stack` are made once; each pass builds
+    :func:`_newton_system` at the live states from them and takes the step
+    ``-jac^-1 f`` in one batched solve.  From ``x = 0``, where
     ``jac`` is the system matrix at the bare couplings and ``f = -e_0``,
     the first step is the solve at the bare couplings, which counts as no
     iteration.  A point leaves the lockstep when its step's max-abs change
@@ -408,9 +480,10 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     the step is not, and it bounds the step's change in rho from below
     (``hypot(a, b) >= max(|a|, |b|)``), so that change is taken only in a
     pass where some step may settle.  The flags are set, and the live
-    arrays compacted (writing out the states of the points that leave),
-    only in a pass where a point leaves; when every point leaves at once,
-    the live arrays are the outputs.
+    arrays compacted (writing out the states of the points that leave,
+    and keeping the per-point constants of those that go on), only in a
+    pass where a point leaves; when every point leaves at once, the live
+    arrays are the outputs.
     """
     n = len(base)
     x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
@@ -418,10 +491,11 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     iterations = np.zeros(n, dtype=int)
     x, live, last, done = (np.zeros((n, 16)), np.arange(n),
                            np.full(n, np.inf), -1)
+    stack, rows = _newton_stack(base, bare, eps)
 
     def leave(keep):
         # write out the points not kept and compact the live arrays
-        nonlocal live, x, m, base, last, step, size, x_out, m_out
+        nonlocal live, x, m, base, rows, last, step, size, x_out, m_out
         out = ~keep
         gone = live[out]
         if gone.size == n:  # all at once: the live arrays are the outputs
@@ -432,9 +506,10 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         if live.size:  # none left: a failed batch has no step yet
             x, m, base, last, step, size = (
                 v[keep] for v in (x, m, base, last, step, size))
+            rows = tuple(v[keep] for v in rows)
 
     while live.size:
-        rabi, m, f, jac = _newton_system(base, bare, eps, x)
+        rabi, m, f, jac = _newton_system(base, stack, rows, x)
         try:
             step = np.linalg.solve(jac, f[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -490,7 +565,7 @@ def _solve_axis(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     nothing) and ``m`` holding each point's last system matrix.
     """
     n = len(base)
-    if not np.any(eps != 0.0):
+    if not eps.any():
         x, a, m, ok = _solve_stack(base, bare)
         resid = _apply(a, x)
         return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),

@@ -68,6 +68,8 @@ class SweepSpec:
                options: SolveOptions | None = None) -> "SweepSpec":
         if not np.isfinite(float(hi) - float(lo)):
             raise ValueError("detuning range must be finite")
+        if count < 3:
+            raise ValueError("detuning grid needs at least 3 points")
         grid = np.linspace(lo, hi, count)
         sym = bool(np.max(np.abs(grid + grid[::-1])) == 0.0)
         return cls(delta_c=tuple(grid), omegas=tuple(omegas), ndd=ndd,

@@ -39,6 +39,25 @@ def test_invariants_rejected():
                 ("13", "14", "23", "24"), bad))
 
 
+@pytest.mark.parametrize("epsilon", [
+    3.0, ["13", "14", "23", "24"], {"13": 1.0},
+    {"13": "1", "14": 0.0, "23": 0.0, "24": 0.0},
+    {"13": None, "14": 0.0, "23": 0.0, "24": 0.0},
+    {"13": 1j, "14": 0.0, "23": 0.0, "24": 0.0},
+    {"13": True, "14": 0.0, "23": 0.0, "24": 0.0},
+    {"13": -1.0, "14": 0.0, "23": 0.0, "24": 0.0}])
+def test_bad_epsilon_raises_value_error(epsilon):
+    # not a mapping with the four pair keys, or a value that is not a
+    # real number (a bool is not one): ValueError, never TypeError
+    with pytest.raises(ValueError, match="epsilon"):
+        hfs.Drive(omega=1.0, epsilon=epsilon)
+
+
+def test_numpy_real_epsilon_accepted():
+    eps = {"13": np.float64(2.0), "14": np.int64(1), "23": 0, "24": 0.5}
+    assert hfs.Drive(omega=1.0, epsilon=eps).epsilon is eps
+
+
 class TestEpsilon:
 
     def test_zero_density(self):

@@ -1,5 +1,6 @@
 """Smoke test of the benchmark's traced run: the result line it prints last
-must parse as strict JSON, with every metric finite."""
+must parse as strict JSON, with every metric finite, and name exactly the
+per-layer metrics that BENCHMARK.json declares."""
 
 import json
 import math
@@ -27,6 +28,7 @@ def test_traced_run_ends_with_a_strict_json_result(workload):
     result = json.loads(proc.stdout.splitlines()[-1],
                         parse_constant=_reject)
     assert result["correct"] is True and result["failed"] == 0
-    assert result["metrics"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), name

@@ -254,7 +254,8 @@ class TestNewton:
         # exact up to round-off
         from hfs.model import rhs_verbatim
         from hfs.params import effective_rabi
-        from hfs.steady import _TRACE_ROW, _affine_split, _newton_system
+        from hfs.steady import (_TRACE_ROW, _affine_split, _newton_stack,
+                                _newton_system)
         h = 1e-5
         for omega, dc in ((0.5, 0.3), (5.0, -0.2), (20.0, 1.0), (100.0, 0.0)):
             drive = hfs.Drive(omega=omega, delta_c=dc * params.delta_u,
@@ -271,7 +272,8 @@ class TestNewton:
             ref[0] = _TRACE_ROW
             base, bare, eps = _affine_split(params, drive,
                                             np.array([drive.delta_c]))
-            jac = _newton_system(base, bare, eps, x[None])[3][0]
+            jac = _newton_system(base, *_newton_stack(base, bare, eps),
+                                 x[None])[3][0]
             assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     @staticmethod
@@ -1201,3 +1203,152 @@ class TestMatchesPreChangeSolve:
             assert_same_bytes(
                 hfs.solve_selfconsistent(p, d),
                 ref_solve_selfconsistent(p, d, hfs.SolveOptions()))
+
+
+# -- the generators are affine in the packed state --------------------------
+
+def random_density_states(rng, n):
+    """(n, 16) packed states of random density matrices."""
+    z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    rho = z @ z.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return pack(np.moveaxis(rho, 0, -1)).T
+
+
+class TestAffineGenerator:
+    """``m(x) = m(0) - x @ G`` against the rebuild at the state's couplings,
+    byte for byte."""
+
+    def test_basis_facts(self):
+        # what makes the affine form exact: every eps_q * B_q is exact, at
+        # most one coupling enters an entry, and nothing else enters there
+        from hfs.steady import _COUPLINGS, _basis
+        basis = _basis()
+        couplings = basis[_COUPLINGS]
+        assert set(np.unique(couplings)) == {-2.0, -1.0, 0.0, 1.0, 2.0}
+        entered = couplings != 0.0
+        assert entered.sum(axis=0).max() == 1
+        assert not basis[:_COUPLINGS.start][:, entered.any(axis=0)].any()
+
+    @staticmethod
+    def assert_affine(p, omega, grid, rng, drive_kw=None):
+        # the Newton system at states of the stack (zero, signed zero, the
+        # solved states, random density matrices) against the rebuild and
+        # against the pre-change system, and the full generator of the
+        # relaxation against the rebuild
+        from hfs.steady import (_PAIR_RE, _affine_split, _newton_stack,
+                                _newton_system, _state_linear, _system_rows,
+                                _with_couplings)
+        drive = hfs.Drive(omega=omega, ndd_enabled=True, **(drive_kw or {}))
+        base, bare, eps = _affine_split(p, drive, grid)
+        stack, rows = _newton_stack(base, bare, eps)
+        a_bare, g = _with_couplings(base, bare), _state_linear(eps)
+        n = len(base)
+        solved = hfs.solve_grid(p, omega, grid, True).x
+        for x in (np.zeros((n, 16)), np.full((n, 16), -0.0),
+                  np.where(np.isnan(solved), 0.0, solved),
+                  random_density_states(rng, n),
+                  10.0 * rng.normal(size=(n, 16))):
+            r = bare - eps * x[:, _PAIR_RE]
+            got = _newton_system(base, stack, rows, x)
+            assert got[1].tobytes() == _system_rows(
+                _with_couplings(base, r))[0].tobytes()
+            for a, b in zip(got, ref_newton_system(base, bare, eps, x)):
+                assert a.tobytes() == b.tobytes()
+            assert ((a_bare - (x @ g).reshape(n, 16, 16)).tobytes()
+                    == _with_couplings(base, r).tobytes())
+
+    @pytest.mark.parametrize("omega", [0.5, 5.0, 20.0, 100.0])
+    def test_paper_stacks(self, omega):
+        from hfs.config import parse_config
+        p = parse_config(CONFIG.read_text()).system_params()
+        grid = np.linspace(-5.0, 5.0, 41) * p.delta_u
+        self.assert_affine(p, omega, grid, np.random.default_rng(47))
+
+    def test_dark_level_parameter_sets(self):
+        rng = np.random.default_rng(53)
+        for dark in (None, 2, 3, 4) * 2:
+            p = random_params(rng, dark)
+            omega = float(np.exp(rng.uniform(np.log(0.3), np.log(60.0))))
+            grid = np.sort(rng.uniform(-3.0, 3.0, 7)) * p.delta_u
+            self.assert_affine(p, omega, grid, rng)
+
+    def test_pinned_and_signed_zero_epsilon(self):
+        p = hfs.sodium_d1()
+        grid = np.linspace(-2.0, 2.0, 9) * p.delta_u
+        rng = np.random.default_rng(59)
+        for eps in ({"13": -0.0, "14": 0.0, "23": -0.0, "24": 0.0},
+                    {"13": 3.0, "14": 0.0, "23": 7.5, "24": 1.25}):
+            self.assert_affine(p, 5.0, grid, rng, {"epsilon": eps})
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_decay_rate_near_the_pinning_threshold(self, level, factor):
+        # a level cut off from the drive whose decay rate is half or twice
+        # _ZERO_ROW_TOL times the matrix scale: pinned, or kept by a hair
+        from hfs.steady import (_ZERO_ROW_TOL, _affine_split, _system_rows,
+                                _with_couplings)
+        rate = {2: "gamma42", 3: "gamma31", 4: "gamma41"}[level]
+        rng = np.random.default_rng(61 + level)
+        p = random_params(rng, level)
+        grid = np.linspace(-2.0, 2.0, 9) * p.delta_u
+        base, bare, _ = _affine_split(p, hfs.Drive(omega=20.0), grid)
+        a = _with_couplings(base, bare)
+        scale = np.abs(a).max(axis=(-2, -1))
+        p = p.replace(**{rate: factor * _ZERO_ROW_TOL * float(scale.min())})
+        base, bare, _ = _affine_split(p, hfs.Drive(omega=20.0), grid)
+        kept = _system_rows(_with_couplings(base, bare))[1][:, level - 1]
+        assert kept.any() == (factor > 1.0)
+        self.assert_affine(p, 20.0, grid, rng)
+
+    @staticmethod
+    def assert_bare_pins(base, bare, eps, x):
+        # the Newton system's m at states x is the generator at their
+        # couplings with the trace row and the rows pinned at the bare
+        # couplings; returns whether a rebuild at x pins other rows
+        from hfs.steady import (_PAIR_RE, _PINNED_ROWS, _TRACE_ROW,
+                                _newton_stack, _newton_system, _system_rows,
+                                _with_couplings)
+        r = bare - eps * x[:, _PAIR_RE]
+        kept = _system_rows(_with_couplings(base, bare))[1]
+        m = _newton_system(base, *_newton_stack(base, bare, eps), x)[1]
+        want = _with_couplings(base, r)
+        want[:, 0] = _TRACE_ROW
+        want[:, 1:4] = np.where(kept[:, 1:4, None], want[:, 1:4], _PINNED_ROWS)
+        assert m.tobytes() == want.tobytes()
+        return not np.array_equal(
+            kept, _system_rows(_with_couplings(base, r))[1])
+
+    def test_pinned_rows_taken_at_the_bare_couplings(self):
+        # a decay rate between _ZERO_ROW_TOL times the matrix scale at the
+        # bare couplings and at the solved state's: a rebuild at the state
+        # keeps a row that the bare couplings pin.  The Newton system keeps
+        # the bare pattern, so one system serves the whole Newton run
+        from hfs.steady import (_PAIR_RE, _ZERO_ROW_TOL, _affine_split,
+                                _with_couplings)
+        p = random_params(np.random.default_rng(67), 3)
+        drive = hfs.Drive(omega=60.0, delta_c=0.0, ndd_enabled=True)
+        base, bare, eps = _affine_split(p, drive, np.zeros(1))
+        x = pack(hfs.solve_selfconsistent(p, drive).rho)[None]
+        lo, hi = sorted(
+            np.abs(_with_couplings(base, c)).max()
+            for c in (bare, bare - eps * x[:, _PAIR_RE]))
+        p = p.replace(gamma31=_ZERO_ROW_TOL * float(np.sqrt(lo * hi)))
+        base, bare, eps = _affine_split(p, drive, np.zeros(1))
+        x = pack(hfs.solve_selfconsistent(p, drive).rho)[None]
+        assert self.assert_bare_pins(base, bare, eps, x)
+
+    def test_pinned_rows_at_states_off_the_solve(self):
+        # a dark level with pinned nonzero local-field strengths: at states
+        # whose coherences with that level are not zero (no Newton iterate
+        # reaches one), its rows stay pinned
+        from hfs.steady import _affine_split
+        rng = np.random.default_rng(71)
+        p = random_params(rng, 3)
+        drive = hfs.Drive(omega=5.0, ndd_enabled=True,
+                          epsilon={"13": 2.0, "14": 0.5, "23": 1.5,
+                                   "24": 0.0})
+        base, bare, eps = _affine_split(p, drive,
+                                        np.linspace(-1.0, 1.0, 5) * p.delta_u)
+        assert self.assert_bare_pins(base, bare, eps,
+                                     random_density_states(rng, 5))

@@ -170,6 +170,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="repeat"):
             SweepSpec(delta_c=(-1.0, 0.0, 1.0), omegas=(5.0, 20.0, 5.0))
 
+    @pytest.mark.parametrize("count", [-1, 0, 1, 2])
+    def test_linear_needs_three_points(self, count):
+        with pytest.raises(ValueError, match="at least 3 points"):
+            SweepSpec.linear(-1.0, 1.0, count, (1.0,))
+
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_bounds_rejected_before_grid(self, params):
         big = np.float64(1e308)
