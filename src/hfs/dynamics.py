@@ -4,11 +4,11 @@ Every route uses the affine split of the generator that the steady layer
 builds from ``rhs_verbatim``: at packed state ``x`` the couplings are
 ``r(x) = bare - eps * Re(x_p)`` over the four coupled pairs ``p``, so the
 generator is ``A(x) = A_bare - sum_q eps_q Re(x_p)_q B_q`` with ``A_bare`` the
-generator at the bare couplings and ``B_q`` the coupling slice of the
-generator basis.  With the local-field correction off (``eps = 0``) it is the
-fixed matrix ``A_bare``.  The relaxation refreshes it as ``A_bare - x G``,
-with the steady layer's constant state matrix ``G``, which gives the
-generator at the state's couplings bit for bit.
+generator at the bare couplings (one product of eleven coefficients with the
+generator basis) and ``B_q`` the basis's coupling slice.  With the local-field
+correction off (``eps = 0``) it is the fixed matrix ``A_bare``.  Elsewhere it
+is ``A_bare - x G``, with the steady layer's constant state matrix ``G``: the
+generator at the state's couplings, bit for bit.
 
 With a fixed generator (the correction off, or every ``eps`` zero) the
 flow is linear and ``evolve`` propagates it exactly, ``x(t) = expm(A_bare t)
@@ -81,7 +81,7 @@ from .model import (STATE_COLUMNS, ground_state, pack, unpack,
                     validate_density_matrix)
 from .params import Drive, RabiSet, SystemParams, effective_rabi
 from .steady import (_COUPLINGS, _PAIR_RE, SteadyResult, _affine_split,
-                     _basis, _rho_max_abs, _state_linear, _with_couplings)
+                     _basis, _rho_max_abs, _state_linear)
 
 _TRACE_DEFECT_LIMIT = 1e-9
 
@@ -237,8 +237,7 @@ def evolve(params: SystemParams, drive: Drive, rho0: np.ndarray,
         raise ValueError("tolerances must be positive and finite")
     t_eval = _sample_times(t_eval, t_end)
     x0 = pack(_initial_state(rho0))
-    base, bare, eps = _affine_split(params, drive, [drive.delta_c])
-    a_bare = _with_couplings(base[0], bare)
+    (a_bare,), _, eps = _affine_split(params, drive, [drive.delta_c])
     if not math.isfinite(float(t_end) * float(np.linalg.norm(a_bare, 1))):
         raise ValueError("t_end * ||A_bare||_1 overflows: t_end is too long "
                          "for this drive")
@@ -309,13 +308,13 @@ def relax_to_steady(params: SystemParams, drive: Drive,
         raise ValueError("t_max must be positive and finite")
 
     rho = ground_state() if rho0 is None else _initial_state(rho0)
-    base, bare, eps = _affine_split(params, drive, [drive.delta_c])
+    (a_bare,), bare, eps = _affine_split(params, drive, [drive.delta_c])
 
     def couplings(x):
         return bare - eps * x[_PAIR_RE]
 
     # the generator at the state's couplings, a_bare - x @ g
-    a_bare, g = _with_couplings(base[0], bare), _state_linear(eps)
+    g = _state_linear(eps)
     x = pack(rho)
     a = a_bare - np.dot(x, g).reshape(16, 16)
     resid = float(_rho_max_abs(a @ x))

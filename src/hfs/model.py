@@ -64,18 +64,21 @@ def pack(rho: np.ndarray) -> np.ndarray:
     return x
 
 
+#: flat 4x4 index into the populations, the lower-triangle coherences and
+#: their conjugates, concatenated: the inverse of their flat positions
+_UNPACK_INDEX = np.argsort(np.concatenate(
+    (_DIAG * 5, _LOWER[0] * 4 + _LOWER[1], _UPPER[0] * 4 + _UPPER[1])))
+
+
 def unpack(x: np.ndarray) -> np.ndarray:
     """Real 16-vector -> Hermitian 4x4 (hermiticity holds by construction).
 
     A ``(16, K)`` stack unpacks to ``(4, 4, K)``.
     """
     x = np.asarray(x)
-    rho = np.zeros((4, 4) + x.shape[1:], dtype=complex)
-    rho[_DIAG, _DIAG] = x[0:4]
     c = x[4::2] + 1j * x[5::2]
-    rho[_LOWER] = c
-    rho[_UPPER] = c.conjugate()
-    return rho
+    flat = np.concatenate((x[0:4], c, c.conjugate()))
+    return flat.take(_UNPACK_INDEX, axis=0).reshape((4, 4) + x.shape[1:])
 
 
 def ground_state() -> np.ndarray:

@@ -9,7 +9,6 @@ of gamma (rad/s) and is only used when converting to/from laboratory units
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 
@@ -31,6 +30,12 @@ SODIUM_OMEGA0 = TWO_PI * 5.08333e14         # D1 carrier, rad/s
 
 #: coupled ground-excited pairs, keyed as (ground, excited), 1-based labels
 PAIRS = ("13", "14", "23", "24")
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a bool: int, float or a numpy real."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,8 @@ class Drive:
     epsilon: dict[str, float] | None = None
 
     def __post_init__(self):
+        if not (_is_real(self.omega) and _is_real(self.delta_c)):
+            raise ValueError("omega and delta_c must be real numbers")
         if not (math.isfinite(self.omega) and math.isfinite(self.delta_c)):
             raise ValueError("omega and delta_c must be finite")
         if self.omega < 0:
@@ -141,8 +148,7 @@ class Drive:
                     or set(self.epsilon) != set(PAIRS)):
                 raise ValueError(
                     f"epsilon must be a mapping with keys {PAIRS}")
-            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                       and 0 <= v < math.inf
+            if not all(_is_real(v) and 0 <= v < math.inf
                        for v in self.epsilon.values()):
                 raise ValueError("epsilon values must be real numbers, "
                                  "finite and >= 0")

@@ -6,25 +6,23 @@ row traded for the unit-trace constraint.  The generator is linear in eleven
 numbers (the decay rates and splittings, the bare detuning and the
 couplings), ``A = sum_k c_k * K_k``, so every ``dA/dc_k`` is one matrix of a
 constant basis ``K``, built once per process from ``rhs_verbatim``; no solve
-calls it.  A detuning axis at one drive is a single ``(N, 16, 16)`` stack
-solved by batched LU, and one drive is the one-point stack.  With the
-local-field correction enabled the four effective couplings depend on
-Re(rho_ij), and the steady state solves ``M(r(x)) x = e_0`` with couplings
-``r`` affine in the packed state ``x``.  It is found by Newton's method on
-``x``, in lockstep over the stack, from the solve at the bare couplings;
-each iterate factors its matrices once, and the Newton matrix is the flow
-Jacobian with the trace row in place.  The couplings are affine in ``x``,
-and so, exactly, is the system matrix: ``M(r(x)) = M(r(0)) - x G``, with
-``M(r(0))`` and a constant ``G`` made once per stack, so a pass forms its
-matrices from one product and never rebuilds a generator.  The same ``G``
-refreshes the relaxation's generator in :mod:`hfs.dynamics`.  A pass in
-which every point goes on costs the Newton system, the batched solve and a
-few reductions; the flags and the compaction of the live arrays run only
-in a pass where a point leaves.  A point that settles returns its last
-Newton iterate; a point whose Newton step fails to make progress continues
-by a damped Picard iteration, and a clean solve follows at the couplings
-it reaches.  When every point settles, the residuals are taken on the
-whole stack at once.
+calls it.  A detuning axis at one drive is a single ``(N, 16, 16)`` stack,
+one product of its ``(N, 11)`` coefficients with the flat basis, solved by
+batched LU; one drive is the one-point stack.  With the local-field
+correction enabled the four effective couplings depend on Re(rho_ij), and
+the steady state solves ``M(r(x)) x = e_0`` with couplings ``r`` affine in
+the packed state ``x``.  It is found by Newton's method on ``x``, in
+lockstep over the stack, from the solve at the bare couplings; each
+iterate factors its matrices once, and the Newton matrix is the flow
+Jacobian with the trace row in place.  The generator is exactly affine in
+``x`` too, ``A_bare - x G`` with a constant ``G`` made once per stack: a
+Newton pass forms ``M(r(x)) = M(r(0)) - x G`` from one product, and the
+Picard fallback, the clean solves, the residuals and the relaxation in
+:mod:`hfs.dynamics` take their generators from it.  A point that settles
+returns its last Newton iterate; a point whose Newton step fails to make
+progress continues by a damped Picard iteration, and a clean solve follows
+at the couplings it reaches.  When every point settles, the residuals are
+taken on the whole stack at once.
 
 :func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
 one drive, both through :func:`_solve_axis`.  The independent checks of the
@@ -40,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import STATE_COLUMNS, pack, rhs_verbatim, unpack
-from .params import (PAIRS, Drive, RabiSet, SystemParams, bare_rabi,
-                     effective_rabi)
+from .params import (PAIRS, Drive, RabiSet, SystemParams, _is_real,
+                     bare_rabi, effective_rabi)
 
 _ZERO_ROW_TOL = 1e-13
 
@@ -81,12 +79,6 @@ class SingularSystem(Exception):
             message = f"{message} (condition estimate {cond:.3e})"
         super().__init__(message)
         self.cond = cond
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a bool: int, float or a numpy real."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -173,36 +165,36 @@ def _basis() -> np.ndarray:
     return basis
 
 
-def _detuning_stack(params: SystemParams, delta_c: np.ndarray) -> np.ndarray:
-    """(N, 16, 16) generators without couplings at the detunings ``delta_c``.
-
-    ``A(0)`` is the rates and splittings of ``params`` contracted with their
-    slice of :func:`_basis`, and the detuning adds ``delta * K[_DETUNING]``.
-    An entry matches :func:`generator_matrix` at the same detuning exactly
-    or, where either build adds rates or splittings together, to rounding.
-    """
-    basis = _basis()
-    rates = [getattr(params, k) for k in _RATES]
-    a0 = np.dot(rates, basis[:_DETUNING].reshape(_DETUNING, -1))
-    delta = np.asarray(delta_c, dtype=float) + params.delta_u
-    return a0.reshape(16, 16) + delta[:, None, None] * basis[_DETUNING]
+def _generators(params: SystemParams, delta_c,
+                rabi: np.ndarray) -> np.ndarray:
+    """(N, 16, 16) generators at the detunings ``delta_c`` and couplings
+    ``rabi``, (4,) or (N, 4): one product of the (N, 11) coefficients with
+    the flat :func:`_basis`, exact term by term, since every basis entry is
+    0, +-1/2, +-1 or +-2 and an entry sums at most four rate, splitting and
+    detuning terms or else exactly one coupling."""
+    coef = np.empty((np.size(delta_c), 11))
+    coef[:, :_DETUNING] = [getattr(params, k) for k in _RATES]
+    coef[:, _DETUNING] = np.asarray(delta_c, dtype=float) + params.delta_u
+    coef[:, _COUPLINGS] = rabi
+    return np.dot(coef, _basis().reshape(11, -1)).reshape(-1, 16, 16)
 
 
 def _affine_split(params: SystemParams, drive: Drive, delta_c: np.ndarray):
-    """``(base, bare, eps)``: the affine split of ``drive``'s generators.
+    """``(a_bare, bare, eps)``: the affine split of ``drive``'s generators.
 
-    ``base`` holds the (N, 16, 16) generators without couplings at the
-    detunings ``delta_c``, and the couplings at packed state ``x`` are
-    ``bare - eps * x[_PAIR_RE]``: ``bare`` is the bare couplings and ``eps``
-    the local-field strengths, both (4,) in ``PAIRS`` order, ``eps`` zero
-    when the correction is off.  ``drive.delta_c`` is not read.
+    ``a_bare`` holds the (N, 16, 16) generators at the bare couplings
+    ``bare`` and the detunings ``delta_c``.  The couplings at packed state
+    ``x`` are ``bare - eps * x[_PAIR_RE]``, with ``eps`` the local-field
+    strengths, (4,) in ``PAIRS`` order and zero when the correction is off,
+    and the generator there is ``a_bare - x @ _state_linear(eps)``.
+    ``drive.delta_c`` is not read.
     """
     eps = np.zeros(4)
     if drive.ndd_enabled:
         eps_pairs = drive.epsilon_for(params)
         eps = np.array([eps_pairs[p] for p in PAIRS])
-    return (_detuning_stack(params, delta_c),
-            _couplings(bare_rabi(params, drive)), eps)
+    bare = _couplings(bare_rabi(params, drive))
+    return _generators(params, delta_c, bare), bare, eps
 
 
 def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,9 +210,9 @@ def _system_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.abs(a).max(axis=-1)
     scale = np.maximum(rows.max(axis=-1), 1.0)[..., None]
-    kept = np.ones(a.shape[:-1], dtype=bool)
+    kept = rows >= _ZERO_ROW_TOL * scale
     kept[..., 0] = False
-    kept[..., _PINNABLE] = rows[..., _PINNABLE] >= _ZERO_ROW_TOL * scale
+    kept[..., 4:] = True
     m = a.copy()
     m[..., 0, :] = _TRACE_ROW
     if not kept[..., _PINNABLE].all():
@@ -259,15 +251,6 @@ class GridSolution:
     singular: np.ndarray
 
 
-def _with_couplings(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
-    """Generators from a coupling-free stack and couplings (4,) or (N, 4)."""
-    # sum_q rabi_q * B_q as one matmul against the basis's flat (4, 256)
-    # coupling slice
-    per_point = np.dot(rabi.reshape(-1, 4),
-                       _basis()[_COUPLINGS].reshape(4, -1))
-    return base + per_point.reshape(rabi.shape[:-1] + (16, 16))
-
-
 def _state_linear(eps: np.ndarray) -> np.ndarray:
     """(16, 256) matrix ``G`` of the generators' dependence on the state.
 
@@ -275,31 +258,25 @@ def _state_linear(eps: np.ndarray) -> np.ndarray:
     so the generator there is ``A_bare - (x @ G).reshape(16, 16)``, with
     ``A_bare`` the generator at the bare couplings and row ``_PAIR_RE[q]``
     of ``G`` holding ``eps_q * B_q`` flat (``B_q`` the coupling slice of
-    :func:`_basis`), every other row zero.  The two forms agree bit for
-    bit: ``B_q`` holds only 0, +-1 and +-2, so each ``eps_q * B_q`` is
-    exact; at most one coupling enters each entry; and no rate, splitting
-    or detuning enters where a coupling does.
+    :func:`_basis`), every other row zero.  It equals the generator that
+    :func:`_generators` builds at those couplings, bit for bit: ``B_q``
+    holds only 0, +-1 and +-2, so each ``eps_q * B_q`` is exact; at most
+    one coupling enters each entry; and no rate, splitting or detuning
+    enters where a coupling does.
     """
     g = np.zeros((16, 256))
-    g[_PAIR_SLICE] = eps[_PAIR_ORDER, None] * _pair_basis().reshape(4, -1)
+    g[_PAIR_SLICE] = eps[_PAIR_ORDER, None] * _pair_rows().T.reshape(4, -1)
     return g
 
 
 @functools.cache
-def _pair_basis() -> np.ndarray:
-    """(4, 16, 16) read-only coupling slice of :func:`_basis`, the
-    couplings in ``_PAIR_ORDER``."""
-    basis = _basis()[_COUPLINGS][_PAIR_ORDER]
-    basis.flags.writeable = False
-    return basis
-
-
-@functools.cache
 def _pair_rows() -> np.ndarray:
-    """(16, 64) read-only view ``C`` of :func:`_pair_basis`: ``x @ C``
-    holds the rows ``(B_q x)_i`` of states ``x`` (N, 16), flat in ``(q,
-    i)``, with the couplings ``q`` in ``_PAIR_ORDER``."""
-    return _pair_basis().reshape(64, 16).T
+    """(16, 64) read-only ``C``: ``x @ C`` holds the rows ``(B_q x)_i`` of
+    states ``x`` (N, 16), flat in ``(q, i)``, with ``B_q`` the coupling
+    slice of :func:`_basis` and the couplings ``q`` in ``_PAIR_ORDER``."""
+    rows = _basis()[_COUPLINGS][_PAIR_ORDER].reshape(64, 16).T
+    rows.flags.writeable = False
+    return rows
 
 
 def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -307,43 +284,44 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[..., None])[..., 0]
 
 
-def _solve_stack(base: np.ndarray, rabi: np.ndarray):
+def _solve_stack(a: np.ndarray, rabi: np.ndarray):
     """The steady-state systems of a generator stack, solved together.
 
-    ``base`` holds the (N, 16, 16) generators without couplings and ``rabi``
-    the couplings, (4,) or (N, 4).  Returns ``(x, a, m, ok)``: the packed
-    solutions, the generators, the system matrices of :func:`_system_rows`,
-    and the points whose solve is usable (couplings not all zero, solution
-    finite).  ``x`` is zero where ``ok`` is False.  One exactly singular
-    matrix fails the whole batched solve, and then no point is usable.
+    ``a`` holds the (N, 16, 16) generators and ``rabi`` their couplings,
+    (4,) or (N, 4), read only for the points whose couplings all vanish.
+    Returns ``(x, m, ok)``: the packed solutions, the system matrices of
+    :func:`_system_rows`, and the points whose solve is usable (couplings
+    not all zero, solution finite), ``x`` zero where ``ok`` is False.  One
+    exactly singular matrix fails the batch, and then no point is usable.
 
     One step of iterative refinement keeps the residual near round-off.
     """
-    a = _with_couplings(base, rabi)
     m, _ = _system_rows(a)
     n = len(a)
     try:
         x = np.linalg.solve(m, _TRACE_RHS[:, None])[..., 0]
     except np.linalg.LinAlgError:
-        return np.zeros((n, 16)), a, m, np.zeros(n, bool)
-    ok = np.isfinite(x).all(axis=-1) & (rabi != 0.0).any(axis=-1)
-    x[~ok] = 0.0
+        return np.zeros((n, 16)), m, np.zeros(n, bool)
+    ok = np.isfinite(x).all(axis=-1) & rabi.any(axis=-1)
+    if not ok.all():
+        x[~ok] = 0.0
     x += np.linalg.solve(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
     ok &= np.isfinite(x).all(axis=-1)
-    x[~ok] = 0.0
-    return x, a, m, ok
+    if not ok.all():
+        x[~ok] = 0.0
+    return x, m, ok
 
 
-def _newton_stack(base: np.ndarray, bare: np.ndarray, eps: np.ndarray):
+def _newton_stack(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray):
     """``(stack, rows)``: the constants of :func:`_newton_system`.
 
     ``stack = (bare, eps, g, pinned)`` holds what every point shares: ``g``
     is :func:`_state_linear` with the generator's row 0 zeroed, since the
     trace row does not follow the state, and ``pinned`` tells whether any
     point has a pinned row.  ``rows = (m0, kept, epsk)`` holds one entry
-    per point: the system matrices and kept rows of :func:`_system_rows` at
-    the bare couplings, and ``eps * kept`` with the couplings in
-    ``_PAIR_ORDER``, shape (N, 16, 4).
+    per point: the system matrices and kept rows of :func:`_system_rows` of
+    the generators ``a_bare`` at the bare couplings, and ``eps * kept``
+    with the couplings in ``_PAIR_ORDER``, shape (N, 16, 4).
 
     The pinned rows are taken once, at the bare couplings, and Newton
     cannot change them: a population row is pinned only when its level has
@@ -354,20 +332,20 @@ def _newton_stack(base: np.ndarray, bare: np.ndarray, eps: np.ndarray):
     one state and kept at another; the rows pinned at the bare couplings
     then hold for the whole run.
     """
-    m0, kept = _system_rows(_with_couplings(base, bare))
+    m0, kept = _system_rows(a_bare)
     g = _state_linear(eps)
     g.reshape(16, 16, 16)[:, 0] = 0.0
     epsk = eps[_PAIR_ORDER] * kept[..., None]
     return (bare, eps, g, not kept[..., _PINNABLE].all()), (m0, kept, epsk)
 
 
-def _newton_system(base: np.ndarray, stack: tuple, rows: tuple,
+def _newton_system(a_bare: np.ndarray, stack: tuple, rows: tuple,
                    x: np.ndarray):
     """``(rabi, m, f, jac)``: Newton's system at packed states ``x`` (N, 16).
 
     ``stack`` and ``rows`` are the constants of :func:`_newton_stack`;
-    ``base``, the points' generators without couplings, names the points
-    and is not read.  ``rabi`` holds the couplings ``bare - eps *
+    ``a_bare``, the points' generators at the bare couplings, names the
+    points and is not read.  ``rabi`` holds the couplings ``bare - eps *
     x[_PAIR_RE]`` of each state, ``m`` the system matrices of
     :func:`_system_rows` at them, ``f = m x - e_0`` the residual of the
     steady-state system, and ``jac`` its derivative in ``x``: ``m - sum_q
@@ -413,13 +391,13 @@ def _singular(rabi: np.ndarray, m: np.ndarray) -> SingularSystem:
                           cond=float(np.linalg.cond(m)))
 
 
-def _solve_one(base: np.ndarray, rabi: np.ndarray) -> np.ndarray:
-    """Packed steady state of a one-point stack at couplings ``rabi`` (4,).
+def _solve_one(a: np.ndarray, rabi: np.ndarray) -> np.ndarray:
+    """Packed steady state of a one-point stack ``a``, couplings ``rabi``.
 
     The solution must pass the residual gate on its generator; otherwise,
     or when the solve is not usable, raises :class:`SingularSystem`.
     """
-    x, a, m, ok = _solve_stack(base, rabi)
+    x, m, ok = _solve_stack(a, rabi)
     if not (ok[0] and _gate(_apply(a, x))[0]):
         raise _singular(rabi, m[0])
     return x[0]
@@ -434,22 +412,25 @@ def solve_linear_steady(params: SystemParams, drive: Drive,
     drive and decay) is pinned to zero, matching evolution from the ground
     state.  Any remaining rank deficiency raises :class:`SingularSystem`.
     """
-    base = _detuning_stack(params, np.array([drive.delta_c]))
-    return unpack(_solve_one(base, _couplings(rabi)))
+    rabi = _couplings(rabi)
+    a = _generators(params, np.array([drive.delta_c]), rabi)
+    return unpack(_solve_one(a, rabi))
 
 
-def _picard(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+def _picard(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
             opts: SolveOptions, x: np.ndarray,
             iterations: int) -> tuple[np.ndarray, bool, int]:
     """Damped Picard iteration of a one-point stack from packed ``x``.
 
-    Recompute the couplings from the current iterate, re-solve, mix with
-    ``damping``, until the max-abs change in rho drops below ``fp_tol`` or
-    ``max_iters`` iterations are spent in all, counting on from
-    ``iterations``.
+    Recompute the couplings from the current iterate, re-solve the
+    generator ``a_bare - x @ G`` there, mix with ``damping``, until the
+    max-abs change in rho drops below ``fp_tol`` or ``max_iters``
+    iterations are spent in all, counting on from ``iterations``.
     """
+    g = _state_linear(eps)
     for iterations in range(iterations + 1, opts.max_iters + 1):
-        x_new = _solve_one(base, bare - eps * x[_PAIR_RE])
+        x_new = _solve_one(a_bare - (x @ g).reshape(a_bare.shape),
+                           bare - eps * x[_PAIR_RE])
         change = float(_rho_max_abs(x_new - x))
         x = opts.damping * x_new + (1.0 - opts.damping) * x
         if change < opts.fp_tol:
@@ -457,7 +438,7 @@ def _picard(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     return x, False, iterations
 
 
-def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                      opts: SolveOptions):
     """Cold Newton on the packed states of every point of a stack at once.
 
@@ -485,17 +466,17 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     pass where a point leaves; when every point leaves at once, the live
     arrays are the outputs.
     """
-    n = len(base)
+    n = len(a_bare)
     x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
     failed, stalled, converged = np.zeros((3, n), dtype=bool)
     iterations = np.zeros(n, dtype=int)
     x, live, last, done = (np.zeros((n, 16)), np.arange(n),
                            np.full(n, np.inf), -1)
-    stack, rows = _newton_stack(base, bare, eps)
+    stack, rows = _newton_stack(a_bare, bare, eps)
 
     def leave(keep):
         # write out the points not kept and compact the live arrays
-        nonlocal live, x, m, base, rows, last, step, size, x_out, m_out
+        nonlocal live, x, m, a_bare, rows, last, step, size, x_out, m_out
         out = ~keep
         gone = live[out]
         if gone.size == n:  # all at once: the live arrays are the outputs
@@ -504,12 +485,12 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
             x_out[gone], m_out[gone] = x[out], m[out]
         live, iterations[gone] = live[keep], max(done, 0)
         if live.size:  # none left: a failed batch has no step yet
-            x, m, base, last, step, size = (
-                v[keep] for v in (x, m, base, last, step, size))
+            x, m, a_bare, last, step, size = (
+                v[keep] for v in (x, m, a_bare, last, step, size))
             rows = tuple(v[keep] for v in rows)
 
     while live.size:
-        rabi, m, f, jac = _newton_system(base, stack, rows, x)
+        rabi, m, f, jac = _newton_system(a_bare, stack, rows, x)
         try:
             step = np.linalg.solve(jac, f[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -541,64 +522,68 @@ def _lockstep_newton(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     return x_out, m_out, converged, iterations, stalled, failed
 
 
-def _own_residual(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+def _own_residual(a_bare: np.ndarray, g: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    """Packed residuals (N, 16) of states ``x`` at their own couplings."""
-    rabi = bare - eps * x.take(_PAIR_RE, axis=-1)
-    return _apply(_with_couplings(base, rabi), x)
+    """Packed residuals (N, 16) of states ``x`` at their own couplings, on
+    the generators ``a_bare - x @ g`` (``g`` from :func:`_state_linear`)."""
+    return _apply(a_bare - (x @ g).reshape(a_bare.shape), x)
 
 
-def _solve_axis(base: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+def _solve_axis(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                 opts: SolveOptions):
-    """Steady states of the affine split ``(base, bare, eps)``, one stack.
+    """Steady states of the affine split ``(a_bare, bare, eps)``, one stack.
 
-    With the local-field correction, Newton on the packed state runs in
-    lockstep from the solve at the bare couplings (:func:`_lockstep_newton`).
-    A point it settles returns its last Newton iterate, gated on the
-    residual of the generator at that state's own couplings; one that fails
-    the gate is not settled.  Every other point (continued by :func:`_picard`
-    from its last iterate after a stalled step, or out of iterations) gets a
-    clean solve at the couplings reached, gated on the residual of its
-    generator.  ``residual`` is taken at the couplings of the state
-    returned.  Returns ``(x, converged, iterations, residual, failed, m)``,
-    ``failed`` marking the points not settled (their other fields mean
-    nothing) and ``m`` holding each point's last system matrix.
+    Without the local-field correction the generators ``a_bare`` are solved
+    as they are.  With it, Newton on the packed state runs in lockstep from
+    the solve at the bare couplings (:func:`_lockstep_newton`).  A point it
+    settles returns its last Newton iterate, gated on the residual of the
+    generator at that state's own couplings; one that fails the gate is not
+    settled.  Every other point (continued by :func:`_picard` from its last
+    iterate after a stalled step, or out of iterations) gets a clean solve
+    at the couplings reached (the generator ``a_bare - x @ G``), gated on
+    the residual of that generator.  ``residual`` is taken at the couplings
+    of the state returned.  Returns ``(x, converged, iterations, residual,
+    failed, m)``, ``failed`` marking the points not settled (their other
+    fields mean nothing) and ``m`` holding each point's last system
+    matrix.
     """
-    n = len(base)
+    n = len(a_bare)
     if not eps.any():
-        x, a, m, ok = _solve_stack(base, bare)
-        resid = _apply(a, x)
+        x, m, ok = _solve_stack(a_bare, bare)
+        resid = _apply(a_bare, x)
         return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),
                 _rho_max_abs(resid), ~(ok & _gate(resid)), m)
 
     x, m, converged, iterations, stalled, failed = _lockstep_newton(
-        base, bare, eps, opts)
+        a_bare, bare, eps, opts)
+    g = _state_linear(eps)
     if converged.all():
         # every point settled: no Picard, no clean solve, no subsets
-        resid = _own_residual(base, bare, eps, x)
+        resid = _own_residual(a_bare, g, x)
         return x, converged, iterations, _rho_max_abs(resid), ~_gate(resid), m
 
     settled = converged & ~stalled
     for k in np.flatnonzero(stalled):
         try:
             x[k], converged[k], iterations[k] = _picard(
-                base[k:k + 1], bare, eps, opts, x[k], iterations[k])
+                a_bare[k:k + 1], bare, eps, opts, x[k], iterations[k])
         except SingularSystem:
             failed[k] = True
 
     # a settled point returns its last Newton solve, gated at its own
     # couplings; every other point is solved cleanly at the couplings reached
     live = np.flatnonzero(~failed)
-    resid = _own_residual(base[live], bare, eps, x[live])
+    resid = _own_residual(a_bare[live], g, x[live])
     keep = settled[live]
     failed[live[keep & ~_gate(resid)]] = True
     redo = live[~keep]
     if redo.size:
-        x_redo, a, m[redo], ok = _solve_stack(
-            base[redo], bare - eps * x[redo][:, _PAIR_RE])
+        a = a_bare[redo] - (x[redo] @ g).reshape(-1, 16, 16)
+        x_redo, m[redo], ok = _solve_stack(
+            a, bare - eps * x[redo][:, _PAIR_RE])
         failed[redo[~(ok & _gate(_apply(a, x_redo)))]] = True
         x[redo] = x_redo
-        resid[~keep] = _own_residual(base[redo], bare, eps, x_redo)
+        resid[~keep] = _own_residual(a_bare[redo], g, x_redo)
     residual = np.full(n, np.nan)
     residual[live] = _rho_max_abs(resid)
     return x, converged, iterations, residual, failed, m
@@ -622,9 +607,9 @@ def _solve_point(params: SystemParams, drive: Drive, delta_c: float,
     """``(x, converged, iterations, residual, rabi)`` of :func:`_solve_axis`
     at one detuning, ``rabi`` the couplings (4,) of :func:`effective_rabi`
     at ``x``; raises :class:`SingularSystem` where it is not settled."""
-    base, bare, eps = _affine_split(params, drive, np.array([delta_c]))
+    a_bare, bare, eps = _affine_split(params, drive, np.array([delta_c]))
     x, converged, iterations, residual, failed, m = _solve_axis(
-        base, bare, eps, opts)
+        a_bare, bare, eps, opts)
     if failed[0]:
         raise _singular(bare, m[0])
     x = x[0]

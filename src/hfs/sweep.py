@@ -17,7 +17,7 @@ import numpy as np
 
 from . import optics
 from .model import STATE_COLUMNS, unpack
-from .params import Drive, SystemParams
+from .params import Drive, SystemParams, _is_real
 from .steady import SolveOptions, solve_grid
 
 COLUMNS = (
@@ -54,7 +54,10 @@ class SweepSpec:
             raise ValueError("detuning grid must be finite")
         if np.any(np.diff(grid) <= 0):
             raise ValueError("detuning grid must be strictly increasing")
-        if len(self.omegas) < 1 or not all(0 < w < np.inf
+        if not np.iterable(self.omegas):
+            raise ValueError("omega list must contain positive finite values")
+        object.__setattr__(self, "omegas", tuple(self.omegas))
+        if len(self.omegas) < 1 or not all(_is_real(w) and 0 < w < np.inf
                                            for w in self.omegas):
             raise ValueError("omega list must contain positive finite values")
         if len(set(self.omegas)) != len(self.omegas):
@@ -66,13 +69,15 @@ class SweepSpec:
     @classmethod
     def linear(cls, lo: float, hi: float, count: int, omegas, ndd=False,
                options: SolveOptions | None = None) -> "SweepSpec":
-        if not np.isfinite(float(hi) - float(lo)):
-            raise ValueError("detuning range must be finite")
-        if count < 3:
-            raise ValueError("detuning grid needs at least 3 points")
+        if not (_is_real(lo) and _is_real(hi)
+                and np.isfinite(float(hi) - float(lo))):
+            raise ValueError("detuning range must be finite real numbers")
+        if not isinstance(count, (int, np.integer)) or count < 3:
+            raise ValueError("detuning grid needs at least 3 points, counted "
+                             "by an integer")
         grid = np.linspace(lo, hi, count)
         sym = bool(np.max(np.abs(grid + grid[::-1])) == 0.0)
-        return cls(delta_c=tuple(grid), omegas=tuple(omegas), ndd=ndd,
+        return cls(delta_c=tuple(grid), omegas=omegas, ndd=ndd,
                    options=options or SolveOptions(), symmetric_grid=sym)
 
     @classmethod
@@ -88,7 +93,7 @@ class SweepSpec:
         half = np.linspace(0.0, span_delta_u * params.delta_u,
                            (count + 1) // 2)
         grid = np.concatenate([-half[:0:-1], half])
-        return cls(delta_c=tuple(grid), omegas=tuple(omegas), ndd=ndd,
+        return cls(delta_c=tuple(grid), omegas=omegas, ndd=ndd,
                    options=options or SolveOptions(), symmetric_grid=True)
 
 

@@ -30,6 +30,34 @@ def test_pack_unpack_roundtrip():
         assert np.array_equal(unpack(xs)[..., k], unpack(xs[:, k]))
 
 
+def ref_unpack(x):
+    """``unpack`` before it became one ``take``: assignment by index."""
+    from hfs.model import _DIAG, _LOWER, _UPPER
+    x = np.asarray(x)
+    rho = np.zeros((4, 4) + x.shape[1:], dtype=complex)
+    rho[_DIAG, _DIAG] = x[0:4]
+    c = x[4::2] + 1j * x[5::2]
+    rho[_LOWER] = c
+    rho[_UPPER] = c.conjugate()
+    return rho
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 1), (16, 7)])
+def test_unpack_matches_pre_change_build(shape):
+    # byte for byte, signed zeros, NaN and infinities included
+    rng = np.random.default_rng(83)
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.25])
+    for _ in range(50):
+        x = rng.normal(size=shape)
+        mask = rng.random(shape) < 0.6
+        x[mask] = rng.choice(special, size=int(mask.sum()))
+        # 1j * inf has a NaN real part, in both builds
+        with np.errstate(invalid="ignore"):
+            got, ref = unpack(x), ref_unpack(x)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestHamiltonian:
 
     def test_as_printed_diagonal_no_drive(self):

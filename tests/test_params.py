@@ -58,6 +58,23 @@ def test_numpy_real_epsilon_accepted():
     assert hfs.Drive(omega=1.0, epsilon=eps).epsilon is eps
 
 
+@pytest.mark.parametrize("kw", [
+    {"omega": "5"}, {"omega": None}, {"omega": True}, {"omega": 1j},
+    {"omega": 1.0, "delta_c": None}, {"omega": 1.0, "delta_c": "0"},
+    {"omega": 1.0, "delta_c": False}],
+    ids=["omega-str", "omega-none", "omega-bool", "omega-complex",
+         "delta_c-none", "delta_c-str", "delta_c-bool"])
+def test_non_real_drive_raises_value_error(kw):
+    # a str or None failed math.isfinite with TypeError, and True ran as 1.0
+    with pytest.raises(ValueError, match="real numbers"):
+        hfs.Drive(**kw)
+
+
+def test_numpy_real_drive_accepted():
+    drive = hfs.Drive(omega=np.float64(2.0), delta_c=np.int64(-3))
+    assert drive.omega == 2.0 and drive.delta_c == -3
+
+
 class TestEpsilon:
 
     def test_zero_density(self):

@@ -1,7 +1,10 @@
-"""Smoke test of the benchmark's traced run: the result line it prints last
-must parse as strict JSON, with every metric finite, and name exactly the
-per-layer metrics that BENCHMARK.json declares."""
+"""Smoke tests of the benchmark's tracing: every traced function still
+exists in hfs, and the result line a traced run prints last parses as
+strict JSON, with every metric finite, and names exactly the per-layer
+metrics that BENCHMARK.json declares."""
 
+import importlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -11,6 +14,24 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_trace_targets_exist():
+    # in process, so a renamed or removed target fails here, not only in
+    # the traced runs below
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, attr, _, name in tracing.TARGETS:
+        module = importlib.import_module(mod_name)
+        assert callable(getattr(module, attr, None)), (name, mod_name, attr)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
 
 
 def _reject(constant):

@@ -356,10 +356,11 @@ class TestNewton:
         # move it, so Newton settles it at the solve at the bare couplings,
         # which fails the gate at its own couplings.  It is solved again on
         # its own, not flagged singular
-        from hfs.steady import _detuning_stack
+        from hfs.steady import _affine_split
         grid = np.linspace(-0.5, 0.5, 5) * params.delta_u
         ref = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
-        target = _detuning_stack(params, grid[2:3])[0]
+        target = _affine_split(params, hfs.Drive(omega=5.0, ndd_enabled=True),
+                               grid[2:3])[0][0]
         solve_point, retried = hfs.steady._solve_point, []
 
         def stiff(base, x, jac):
@@ -521,13 +522,13 @@ class TestGrid:
 
     def test_stack_assembly_matches_generator(self):
         from hfs.params import RabiSet
-        from hfs.steady import _detuning_stack, _with_couplings
+        from hfs.steady import _generators
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = random_params(rng)
             grid = rng.uniform(-4.0, 4.0, 16) * p.delta_u
             rabi = rng.normal(scale=10.0, size=(16, 4))
-            stack = _with_couplings(_detuning_stack(p, grid), rabi)
+            stack = _generators(p, grid, rabi)
             for dc, r, a in zip(grid, rabi, stack):
                 drive = hfs.Drive(omega=1.0, delta_c=dc)
                 ref = generator_matrix(p, drive, RabiSet(*r))
@@ -546,38 +547,41 @@ class TestGrid:
 
     @pytest.mark.parametrize("which", ["sodium_d1", "cyclic", "sweep_cfg"])
     def test_detuning_stack_matches_generator_build_exactly(self, which):
-        # the generator at zero detuning from the rate basis equals the one
-        # rhs_verbatim builds, bit for bit, on the parameter sets behind the
-        # paper grids; this keeps the sweep tables' bytes
+        # the generators without drive along the detuning axis, one product
+        # of the coefficients with the basis, equal the ones rhs_verbatim
+        # builds at zero detuning plus the detuning slice, bit for bit, on
+        # the parameter sets behind the paper grids; this keeps the sweep
+        # tables' bytes
         from hfs.config import parse_config
-        from hfs.steady import _detuning_stack
+        from hfs.steady import _affine_split
         doc = parse_config(CONFIG.read_text())
         p = {"sodium_d1": hfs.sodium_d1(),
              "cyclic": hfs.sodium_d1_cyclic_splittings(),
              "sweep_cfg": doc.system_params()}[which]
         grid = np.asarray(doc.sweep_spec(p).delta_c)
         assert len(grid) == 2001
-        assert np.array_equal(_detuning_stack(p, grid),
+        assert np.array_equal(_affine_split(p, hfs.Drive(omega=0.0), grid)[0],
                               generator_build_stack(p, grid))
 
     def test_detuning_stack_round_off_on_random_params(self):
         # with rates and splittings summed in another order the two builds
         # may differ, by round-off of the detuning scale only
-        from hfs.steady import _detuning_stack
+        from hfs.steady import _affine_split
         rng = np.random.default_rng(15)
         for _ in range(200):
             p = random_params(rng, dark=rng.choice([None, 2, 3, 4]))
             grid = rng.uniform(-5.0, 5.0, 8) * p.delta_u
             scale = max(np.max(np.abs(grid + p.delta_u)),
                         p.delta_g + p.delta_e)
-            diff = _detuning_stack(p, grid) - generator_build_stack(p, grid)
+            diff = (_affine_split(p, hfs.Drive(omega=0.0), grid)[0]
+                    - generator_build_stack(p, grid))
             assert np.max(np.abs(diff)) <= 4 * np.spacing(scale)
 
     def test_nonfinite_step_falls_back_to_picard(self, params, monkeypatch):
         # the first point's first Newton step is not finite: that point
         # alone leaves the lockstep, and Picard takes it from its last
         # iterate to the same fixed point
-        from hfs.steady import _detuning_stack
+        from hfs.steady import _affine_split
         grid = np.linspace(-0.5, 0.5, 7) * params.delta_u
         ref = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
         picard, faulted, continued = hfs.steady._picard, [], []
@@ -602,7 +606,8 @@ class TestGrid:
         assert faulted == [len(grid)]
         [(base, iterations)] = continued
         assert iterations == 0
-        assert np.array_equal(base, _detuning_stack(params, grid[:1]))
+        assert np.array_equal(base, _affine_split(
+            params, hfs.Drive(omega=5.0, ndd_enabled=True), grid[:1])[0])
         assert sol.converged.all() and not sol.singular.any()
         assert sol.iterations[0] > ref.iterations[0]
         assert np.array_equal(sol.iterations[1:], ref.iterations[1:])
@@ -708,8 +713,8 @@ class TestGrid:
     def test_system_rows_match_where_build(self):
         # pinned and unpinned points in one stack, against the masked build
         # the copy-and-overwrite one replaced
-        from hfs.steady import (_ZERO_ROW_TOL, _couplings, _detuning_stack,
-                                _system_rows, _with_couplings)
+        from hfs.steady import (_ZERO_ROW_TOL, _couplings, _generators,
+                                _system_rows)
 
         def where_build(a):
             row_max = np.abs(a).max(axis=-1)
@@ -729,7 +734,7 @@ class TestGrid:
             p = random_params(rng, dark)
             grid = rng.uniform(-3.0, 3.0, 5) * p.delta_u
             rabi = _couplings(bare_rabi(p, hfs.Drive(omega=2.0)))
-            stacks.append(_with_couplings(_detuning_stack(p, grid), rabi))
+            stacks.append(_generators(p, grid, rabi))
         mixed = np.concatenate(stacks)
         has_pin = ~where_build(mixed)[1][:, 1:4].all(axis=-1)
         assert 0 < has_pin.sum() < len(mixed) and not has_pin[:5].any()
@@ -861,6 +866,161 @@ def test_dynamics_names_load_on_first_use():
         hfs.no_such_name
 
 
+# -- the generators against their pre-change build --------------------------
+#
+# Before the generators came from one product of eleven coefficients with
+# the basis, a stack was built in three steps: the rates contracted with
+# their slice of the basis, the detuning broadcast over the coupling-free
+# result, and the couplings contracted and added; the solves took the
+# coupling-free stack and the couplings.  These copies keep that split for
+# the frozen references below and in test_dynamics.py.
+
+def ref_detuning_stack(params, delta_c):
+    from hfs.steady import _DETUNING, _RATES, _basis
+    basis = _basis()
+    rates = [getattr(params, k) for k in _RATES]
+    a0 = np.dot(rates, basis[:_DETUNING].reshape(_DETUNING, -1))
+    delta = np.asarray(delta_c, dtype=float) + params.delta_u
+    return a0.reshape(16, 16) + delta[:, None, None] * basis[_DETUNING]
+
+
+def ref_with_couplings(base, rabi):
+    from hfs.steady import _COUPLINGS, _basis
+    per_point = np.dot(rabi.reshape(-1, 4),
+                       _basis()[_COUPLINGS].reshape(4, -1))
+    return base + per_point.reshape(rabi.shape[:-1] + (16, 16))
+
+
+def ref_affine_split(params, drive, delta_c):
+    from hfs.params import PAIRS
+    from hfs.steady import _couplings
+    eps = np.zeros(4)
+    if drive.ndd_enabled:
+        eps_pairs = drive.epsilon_for(params)
+        eps = np.array([eps_pairs[p] for p in PAIRS])
+    return (ref_detuning_stack(params, delta_c),
+            _couplings(bare_rabi(params, drive)), eps)
+
+
+def ref_solve_stack(base, rabi):
+    from hfs.steady import _TRACE_RHS, _apply
+    a = ref_with_couplings(base, rabi)
+    m, _ = ref_system_rows(a)
+    n = len(a)
+    try:
+        x = np.linalg.solve(m, _TRACE_RHS[:, None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.zeros((n, 16)), a, m, np.zeros(n, bool)
+    ok = np.isfinite(x).all(axis=-1) & (rabi != 0.0).any(axis=-1)
+    x[~ok] = 0.0
+    x += np.linalg.solve(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
+    ok &= np.isfinite(x).all(axis=-1)
+    x[~ok] = 0.0
+    return x, a, m, ok
+
+
+def ref_solve_one(base, rabi):
+    from hfs.steady import _apply, _gate, _singular
+    x, a, m, ok = ref_solve_stack(base, rabi)
+    if not (ok[0] and _gate(_apply(a, x))[0]):
+        raise _singular(rabi, m[0])
+    return x[0]
+
+
+def ref_picard(base, bare, eps, opts, x, iterations):
+    from hfs.steady import _PAIR_RE, _rho_max_abs
+    for iterations in range(iterations + 1, opts.max_iters + 1):
+        x_new = ref_solve_one(base, bare - eps * x[_PAIR_RE])
+        change = float(_rho_max_abs(x_new - x))
+        x = opts.damping * x_new + (1.0 - opts.damping) * x
+        if change < opts.fp_tol:
+            return x, True, iterations
+    return x, False, iterations
+
+
+class TestOneContraction:
+    """The generators as one product of the coefficients with the basis,
+    against the pre-change three-step build, byte for byte."""
+
+    def test_basis_facts(self):
+        # every product is exact, and an entry sums rates, splittings and
+        # the detuning (at most four of them), or else exactly one coupling
+        from hfs.steady import _COUPLINGS, _basis
+        basis = _basis().reshape(11, 256)
+        assert set(np.unique(basis)) == {-2.0, -1.0, -0.5, 0.0, 1.0, 2.0}
+        entered = basis != 0.0
+        couplings = entered[_COUPLINGS].sum(axis=0)
+        others = entered[:_COUPLINGS.start].sum(axis=0)
+        assert couplings.max() == 1 and others.max() == 4
+        assert not np.any((couplings > 0) & (others > 0))
+
+    @staticmethod
+    def assert_same_build(p, drive, grid):
+        # the stack, and each one-point stack, against the pre-change build
+        from hfs.steady import _affine_split
+        base, bare, _ = ref_affine_split(p, drive, grid)
+        want = ref_with_couplings(base, bare)
+        assert _affine_split(p, drive, grid)[0].tobytes() == want.tobytes()
+        for k in range(len(grid)):
+            got = _affine_split(p, drive, grid[k:k + 1])[0]
+            assert got.tobytes() == want[k:k + 1].tobytes()
+
+    @pytest.mark.parametrize("omega", [0.5, 5.0, 20.0, 100.0])
+    def test_paper_stacks(self, omega):
+        # the four 2001-point stacks of demos/sweep.cfg
+        from hfs.config import parse_config
+        doc = parse_config(CONFIG.read_text())
+        p = doc.system_params()
+        grid = np.asarray(doc.sweep_spec(p).delta_c)
+        assert len(grid) == 2001
+        self.assert_same_build(p, hfs.Drive(omega=omega), grid)
+
+    def test_random_and_dark_level_sets(self):
+        rng = np.random.default_rng(73)
+        for dark in (None, 2, 3, 4) * 5:
+            p = random_params(rng, dark)
+            omega = float(np.exp(rng.uniform(np.log(0.3), np.log(100.0))))
+            grid = rng.uniform(-5.0, 5.0, 9) * p.delta_u
+            self.assert_same_build(p, hfs.Drive(omega=omega), grid)
+
+    @pytest.mark.parametrize("case", ["mu13=-0", "omega=0", "omega=-0"])
+    def test_signed_and_zero_couplings(self, case):
+        # a bare coupling of -0.0 or 0.0 enters its entries alone
+        p, omega = hfs.sodium_d1(), 5.0
+        if case == "mu13=-0":
+            p = p.replace(mu13=-0.0)
+        else:
+            omega = -0.0 if case == "omega=-0" else 0.0
+        grid = np.linspace(-3.0, 3.0, 13) * p.delta_u
+        self.assert_same_build(p, hfs.Drive(omega=omega), grid)
+
+    def test_solve_linear_steady_at_arbitrary_couplings(self):
+        # solve_linear_steady puts its own couplings into the product; its
+        # states and errors against the pre-change one-point solve
+        from hfs.steady import _couplings
+        rng = np.random.default_rng(79)
+        singular = 0
+        for k in range(60):
+            p = random_params(rng, [None, 2, 3, 4][k % 4])
+            drive = hfs.Drive(omega=1.0,
+                              delta_c=float(rng.uniform(-3, 3)) * p.delta_u)
+            r = rng.normal(scale=10.0, size=4)
+            r[rng.random(4) < 0.3] = rng.choice([0.0, -0.0])
+            rabi = RabiSet(*r.tolist())
+            base = ref_detuning_stack(p, [drive.delta_c])
+            try:
+                want = unpack(ref_solve_one(base, _couplings(rabi)))
+            except hfs.SingularSystem as exc:
+                singular += 1
+                with pytest.raises(hfs.SingularSystem) as got:
+                    hfs.solve_linear_steady(p, drive, rabi)
+                assert str(got.value) == str(exc)
+                continue
+            got = hfs.solve_linear_steady(p, drive, rabi)
+            assert got.tobytes() == want.tobytes()
+        assert 0 < singular < 60
+
+
 # -- the NDD-on solve against its pre-change form ---------------------------
 #
 # The Newton lockstep before its passes skipped the bookkeeping of points
@@ -888,9 +1048,9 @@ def ref_system_rows(a):
 
 def ref_newton_system(base, bare, eps, x):
     from hfs.steady import (_COUPLINGS, _PAIR_RE, _TRACE_RHS, _apply,
-                            _basis, _with_couplings)
+                            _basis)
     rabi = bare - eps * x[:, _PAIR_RE]
-    m, kept = ref_system_rows(_with_couplings(base, rabi))
+    m, kept = ref_system_rows(ref_with_couplings(base, rabi))
     f = _apply(m, x) - _TRACE_RHS
     bx = (x @ _basis()[_COUPLINGS].reshape(64, 16).T).reshape(len(x), 4, 16)
     jac = m.copy()
@@ -946,17 +1106,17 @@ def ref_lockstep_newton(base, bare, eps, opts):
 
 
 def ref_solve_axis(params, drive, delta_c, opts):
-    from hfs.steady import (_PAIR_RE, SingularSystem, _affine_split, _apply,
-                            _gate, _picard, _rho_max_abs, _solve_stack,
-                            _with_couplings)
+    from hfs.steady import (_PAIR_RE, SingularSystem, _apply, _gate,
+                            _rho_max_abs)
 
     def own_residual(base, x):
-        return _apply(_with_couplings(base, bare - eps * x[:, _PAIR_RE]), x)
+        return _apply(ref_with_couplings(base, bare - eps * x[:, _PAIR_RE]),
+                      x)
 
-    base, bare, eps = _affine_split(params, drive, delta_c)
+    base, bare, eps = ref_affine_split(params, drive, delta_c)
     n = len(base)
     if not np.any(eps != 0.0):
-        x, a, m, ok = _solve_stack(base, bare)
+        x, a, m, ok = ref_solve_stack(base, bare)
         resid = _apply(a, x)
         return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),
                 _rho_max_abs(resid), ~(ok & _gate(resid)), m)
@@ -965,7 +1125,7 @@ def ref_solve_axis(params, drive, delta_c, opts):
     settled = converged & ~stalled
     for k in np.flatnonzero(stalled):
         try:
-            x[k], converged[k], iterations[k] = _picard(
+            x[k], converged[k], iterations[k] = ref_picard(
                 base[k:k + 1], bare, eps, opts, x[k], iterations[k])
         except SingularSystem:
             failed[k] = True
@@ -975,7 +1135,7 @@ def ref_solve_axis(params, drive, delta_c, opts):
     failed[live[keep & ~_gate(resid)]] = True
     redo = live[~keep]
     if redo.size:
-        x_redo, a, m[redo], ok = _solve_stack(
+        x_redo, a, m[redo], ok = ref_solve_stack(
             base[redo], bare - eps * x[redo][:, _PAIR_RE])
         failed[redo[~(ok & _gate(_apply(a, x_redo)))]] = True
         x[redo] = x_redo
@@ -1063,13 +1223,14 @@ def assert_same_solves(params, omega, grid, opts):
 
 def assert_same_lockstep(params, omega, grid, opts):
     """The lockstep's 6-tuple on the whole stack and on each one-point
-    stack, against the reference lockstep."""
+    stack, against the reference lockstep on the pre-change split."""
     from hfs.steady import _affine_split, _lockstep_newton
-    base, bare, eps = _affine_split(
-        params, hfs.Drive(omega=omega, ndd_enabled=True), grid)
-    for stack in [base] + [base[k:k + 1] for k in range(len(base))]:
-        got = _lockstep_newton(stack, bare, eps, opts)
-        ref = ref_lockstep_newton(stack, bare, eps, opts)
+    drive = hfs.Drive(omega=omega, ndd_enabled=True)
+    a_bare, bare, eps = _affine_split(params, drive, grid)
+    base = ref_affine_split(params, drive, grid)[0]
+    for k in [slice(None)] + [slice(k, k + 1) for k in range(len(base))]:
+        got = _lockstep_newton(a_bare[k], bare, eps, opts)
+        ref = ref_lockstep_newton(base[k], bare, eps, opts)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -1237,12 +1398,12 @@ class TestAffineGenerator:
         # against the pre-change system, and the full generator of the
         # relaxation against the rebuild
         from hfs.steady import (_PAIR_RE, _affine_split, _newton_stack,
-                                _newton_system, _state_linear, _system_rows,
-                                _with_couplings)
+                                _newton_system, _state_linear, _system_rows)
         drive = hfs.Drive(omega=omega, ndd_enabled=True, **(drive_kw or {}))
-        base, bare, eps = _affine_split(p, drive, grid)
-        stack, rows = _newton_stack(base, bare, eps)
-        a_bare, g = _with_couplings(base, bare), _state_linear(eps)
+        a_bare, bare, eps = _affine_split(p, drive, grid)
+        base = ref_affine_split(p, drive, grid)[0]
+        stack, rows = _newton_stack(a_bare, bare, eps)
+        g = _state_linear(eps)
         n = len(base)
         solved = hfs.solve_grid(p, omega, grid, True).x
         for x in (np.zeros((n, 16)), np.full((n, 16), -0.0),
@@ -1250,13 +1411,13 @@ class TestAffineGenerator:
                   random_density_states(rng, n),
                   10.0 * rng.normal(size=(n, 16))):
             r = bare - eps * x[:, _PAIR_RE]
-            got = _newton_system(base, stack, rows, x)
+            got = _newton_system(a_bare, stack, rows, x)
             assert got[1].tobytes() == _system_rows(
-                _with_couplings(base, r))[0].tobytes()
+                ref_with_couplings(base, r))[0].tobytes()
             for a, b in zip(got, ref_newton_system(base, bare, eps, x)):
                 assert a.tobytes() == b.tobytes()
             assert ((a_bare - (x @ g).reshape(n, 16, 16)).tobytes()
-                    == _with_couplings(base, r).tobytes())
+                    == ref_with_couplings(base, r).tobytes())
 
     @pytest.mark.parametrize("omega", [0.5, 5.0, 20.0, 100.0])
     def test_paper_stacks(self, omega):
@@ -1286,18 +1447,16 @@ class TestAffineGenerator:
     def test_decay_rate_near_the_pinning_threshold(self, level, factor):
         # a level cut off from the drive whose decay rate is half or twice
         # _ZERO_ROW_TOL times the matrix scale: pinned, or kept by a hair
-        from hfs.steady import (_ZERO_ROW_TOL, _affine_split, _system_rows,
-                                _with_couplings)
+        from hfs.steady import _ZERO_ROW_TOL, _affine_split, _system_rows
         rate = {2: "gamma42", 3: "gamma31", 4: "gamma41"}[level]
         rng = np.random.default_rng(61 + level)
         p = random_params(rng, level)
         grid = np.linspace(-2.0, 2.0, 9) * p.delta_u
-        base, bare, _ = _affine_split(p, hfs.Drive(omega=20.0), grid)
-        a = _with_couplings(base, bare)
+        a = _affine_split(p, hfs.Drive(omega=20.0), grid)[0]
         scale = np.abs(a).max(axis=(-2, -1))
         p = p.replace(**{rate: factor * _ZERO_ROW_TOL * float(scale.min())})
-        base, bare, _ = _affine_split(p, hfs.Drive(omega=20.0), grid)
-        kept = _system_rows(_with_couplings(base, bare))[1][:, level - 1]
+        a = _affine_split(p, hfs.Drive(omega=20.0), grid)[0]
+        kept = _system_rows(a)[1][:, level - 1]
         assert kept.any() == (factor > 1.0)
         self.assert_affine(p, 20.0, grid, rng)
 
@@ -1307,34 +1466,33 @@ class TestAffineGenerator:
         # couplings with the trace row and the rows pinned at the bare
         # couplings; returns whether a rebuild at x pins other rows
         from hfs.steady import (_PAIR_RE, _PINNED_ROWS, _TRACE_ROW,
-                                _newton_stack, _newton_system, _system_rows,
-                                _with_couplings)
+                                _newton_stack, _newton_system, _system_rows)
         r = bare - eps * x[:, _PAIR_RE]
-        kept = _system_rows(_with_couplings(base, bare))[1]
-        m = _newton_system(base, *_newton_stack(base, bare, eps), x)[1]
-        want = _with_couplings(base, r)
+        a_bare = ref_with_couplings(base, bare)
+        kept = _system_rows(a_bare)[1]
+        m = _newton_system(a_bare, *_newton_stack(a_bare, bare, eps), x)[1]
+        want = ref_with_couplings(base, r)
         want[:, 0] = _TRACE_ROW
         want[:, 1:4] = np.where(kept[:, 1:4, None], want[:, 1:4], _PINNED_ROWS)
         assert m.tobytes() == want.tobytes()
         return not np.array_equal(
-            kept, _system_rows(_with_couplings(base, r))[1])
+            kept, _system_rows(ref_with_couplings(base, r))[1])
 
     def test_pinned_rows_taken_at_the_bare_couplings(self):
         # a decay rate between _ZERO_ROW_TOL times the matrix scale at the
         # bare couplings and at the solved state's: a rebuild at the state
         # keeps a row that the bare couplings pin.  The Newton system keeps
         # the bare pattern, so one system serves the whole Newton run
-        from hfs.steady import (_PAIR_RE, _ZERO_ROW_TOL, _affine_split,
-                                _with_couplings)
+        from hfs.steady import _PAIR_RE, _ZERO_ROW_TOL
         p = random_params(np.random.default_rng(67), 3)
         drive = hfs.Drive(omega=60.0, delta_c=0.0, ndd_enabled=True)
-        base, bare, eps = _affine_split(p, drive, np.zeros(1))
+        base, bare, eps = ref_affine_split(p, drive, np.zeros(1))
         x = pack(hfs.solve_selfconsistent(p, drive).rho)[None]
         lo, hi = sorted(
-            np.abs(_with_couplings(base, c)).max()
+            np.abs(ref_with_couplings(base, c)).max()
             for c in (bare, bare - eps * x[:, _PAIR_RE]))
         p = p.replace(gamma31=_ZERO_ROW_TOL * float(np.sqrt(lo * hi)))
-        base, bare, eps = _affine_split(p, drive, np.zeros(1))
+        base, bare, eps = ref_affine_split(p, drive, np.zeros(1))
         x = pack(hfs.solve_selfconsistent(p, drive).rho)[None]
         assert self.assert_bare_pins(base, bare, eps, x)
 
@@ -1342,13 +1500,12 @@ class TestAffineGenerator:
         # a dark level with pinned nonzero local-field strengths: at states
         # whose coherences with that level are not zero (no Newton iterate
         # reaches one), its rows stay pinned
-        from hfs.steady import _affine_split
         rng = np.random.default_rng(71)
         p = random_params(rng, 3)
         drive = hfs.Drive(omega=5.0, ndd_enabled=True,
                           epsilon={"13": 2.0, "14": 0.5, "23": 1.5,
                                    "24": 0.0})
-        base, bare, eps = _affine_split(p, drive,
-                                        np.linspace(-1.0, 1.0, 5) * p.delta_u)
+        base, bare, eps = ref_affine_split(
+            p, drive, np.linspace(-1.0, 1.0, 5) * p.delta_u)
         assert self.assert_bare_pins(base, bare, eps,
                                      random_density_states(rng, 5))

@@ -175,6 +175,26 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="at least 3 points"):
             SweepSpec.linear(-1.0, 1.0, count, (1.0,))
 
+    @pytest.mark.parametrize("args, match", [
+        ((-1.0, 1.0, 3.5, (1.0,)), "integer"),
+        ((-1.0, 1.0, np.float64(5.0), (1.0,)), "integer"),
+        ((-1.0, 1.0, 3, 1.0), "omega"),
+        ((-1.0, 1.0, 3, ("a",)), "omega"),
+        ((-1.0, 1.0, 3, (True,)), "omega"),
+        ((None, 1.0, 3, (1.0,)), "real numbers"),
+        ((-1.0, "1", 3, (1.0,)), "real numbers")],
+        ids=["count-float", "count-np-float", "omegas-float", "omegas-str",
+             "omegas-bool", "lo-none", "hi-str"])
+    def test_linear_rejects_non_numbers(self, args, match):
+        # each raised TypeError (or ran True as 1.0) before
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.linear(*args)
+
+    def test_linear_accepts_numpy_numbers(self):
+        spec = SweepSpec.linear(np.float64(-1.0), np.int64(1), np.int64(3),
+                                [np.float64(2.0)])
+        assert spec.delta_c == (-1.0, 0.0, 1.0) and spec.omegas == (2.0,)
+
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_bounds_rejected_before_grid(self, params):
         big = np.float64(1e308)
