@@ -51,8 +51,8 @@ given, a new array per product.  Three products stay ``@``: the
 relaxation's residual at its initial state, taken once per call, the
 exact route's batched propagators applied at requested times, and the
 integrators' right-hand sides.  A
-relaxation chunk whose largest packed element of drho/dt is already at or
-above ``residual_tol`` skips the full residual, which is never smaller.
+relaxation chunk, or initial state, whose largest packed element of drho/dt
+is at or above ``residual_tol`` skips the full residual (never smaller).
 The kernels are private to scipy.  This
 module relies on the contract of their C implementation:
 ``pick_pade_structure`` scales the work array itself, and
@@ -313,22 +313,24 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     def couplings(x):
         return bare - eps * x[_PAIR_RE]
 
-    # the generator at the state's couplings, a_bare - x @ g
-    g = _state_linear(eps)
-    x = pack(rho)
-    a = a_bare - np.dot(x, g).reshape(16, 16)
-    resid = float(_rho_max_abs(a @ x))
-    if drive.omega == 0.0 and not np.any(couplings(x)):
-        return SteadyResult(rho=rho, converged=False, iterations=0,
-                            residual=resid,
-                            rabi_final=effective_rabi(params, drive, rho),
-                            message="zero drive: steady state is not unique")
-    if resid < residual_tol:
-        return SteadyResult(rho=rho, converged=True, iterations=0,
-                            residual=resid,
-                            rabi_final=effective_rabi(params, drive, rho))
+    # the generator at the state's couplings: a_bare - x @ g, or a_bare
+    # itself when it is fixed
+    x, fixed, a = pack(rho), not eps.any(), a_bare
+    if not fixed:
+        g = _state_linear(eps)
+        a = a_bare - np.dot(x, g).reshape(16, 16)
+    v = a @ x
+    zero_drive = drive.omega == 0.0 and not np.any(couplings(x))
+    # the full residual only where it may be returned (see the loop's screen)
+    if zero_drive or not np.abs(v).max() >= residual_tol:
+        resid = float(_rho_max_abs(v))
+        if zero_drive or resid < residual_tol:
+            return SteadyResult(
+                rho=rho, converged=not zero_drive, iterations=0,
+                residual=resid, rabi_final=effective_rabi(params, drive, rho),
+                message="zero drive: steady state is not unique"
+                if zero_drive else "")
 
-    fixed = not eps.any()
     t, chunk, iterations = 0.0, 1.0, 0
     prop, spare = None, np.empty_like(a)
     while t < t_max:

@@ -24,6 +24,16 @@ progress continues by a damped Picard iteration, and a clean solve follows
 at the couplings it reaches.  When every point settles, the residuals are
 taken on the whole stack at once.
 
+Every solve is LAPACK's batched ``gesv`` through numpy's private gufunc
+``numpy.linalg._umath_linalg.solve``, without the Python wrapper that is
+most of an ``np.linalg.solve`` call on a 16x16 system.  This module relies
+on the gufunc's contract: a singular matrix gets a NaN solution, which
+``np.linalg.solve`` turns into ``LinAlgError`` for the whole stack, and
+every other matrix is solved as if alone.  Each solving function runs
+under one ``np.errstate(all="ignore")``, so a singular matrix fails its own
+point through the finiteness checks.  Hence the ``numpy>=2.4`` floor in
+``pyproject.toml``, the release the bit-for-bit tests ran on.
+
 :func:`solve_grid` solves a detuning axis and :func:`solve_selfconsistent`
 one drive, both through :func:`_solve_axis`.  The independent checks of the
 solver are :func:`hfs.dynamics.relax_to_steady` and the two-level closed
@@ -36,6 +46,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _gesv
 
 from .model import STATE_COLUMNS, pack, rhs_verbatim, unpack
 from .params import (PAIRS, Drive, RabiSet, SystemParams, _is_real,
@@ -284,6 +295,7 @@ def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[..., None])[..., 0]
 
 
+@np.errstate(all="ignore")
 def _solve_stack(a: np.ndarray, rabi: np.ndarray):
     """The steady-state systems of a generator stack, solved together.
 
@@ -291,22 +303,15 @@ def _solve_stack(a: np.ndarray, rabi: np.ndarray):
     (4,) or (N, 4), read only for the points whose couplings all vanish.
     Returns ``(x, m, ok)``: the packed solutions, the system matrices of
     :func:`_system_rows`, and the points whose solve is usable (couplings
-    not all zero, solution finite), ``x`` zero where ``ok`` is False.  One
-    exactly singular matrix fails the batch, and then no point is usable.
+    not all zero, solution finite), ``x`` zero where ``ok`` is False.  An
+    exactly singular matrix fails its own point only: its solution is NaN.
 
     One step of iterative refinement keeps the residual near round-off.
     """
     m, _ = _system_rows(a)
-    n = len(a)
-    try:
-        x = np.linalg.solve(m, _TRACE_RHS[:, None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.zeros((n, 16)), m, np.zeros(n, bool)
+    x = _gesv(m, _TRACE_RHS[:, None])[..., 0]
+    x += _gesv(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
     ok = np.isfinite(x).all(axis=-1) & rabi.any(axis=-1)
-    if not ok.all():
-        x[~ok] = 0.0
-    x += np.linalg.solve(m, (_TRACE_RHS - _apply(m, x))[..., None])[..., 0]
-    ok &= np.isfinite(x).all(axis=-1)
     if not ok.all():
         x[~ok] = 0.0
     return x, m, ok
@@ -438,6 +443,7 @@ def _picard(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     return x, False, iterations
 
 
+@np.errstate(all="ignore")
 def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                      opts: SolveOptions):
     """Cold Newton on the packed states of every point of a stack at once.
@@ -452,9 +458,9 @@ def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     Returns ``(x, m, converged, iterations, stalled, failed)``: ``m`` holds
     each point's last system matrix, ``stalled`` an iterate whose residual
     ``|f|`` failed to decrease or whose step was not finite (the point
-    keeps that iterate), and ``failed`` couplings that all vanish, a solve
-    at the bare couplings that was not finite, or a singular matrix that
-    failed a batch.
+    keeps that iterate), and ``failed`` couplings that all vanish or a
+    solve at the bare couplings that was not finite.  A singular matrix
+    gives a NaN step for its own point only.
 
     A pass in which every point goes on costs the system, the solve and a
     few reductions.  The max-abs of each step is not finite exactly where
@@ -484,22 +490,14 @@ def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         else:
             x_out[gone], m_out[gone] = x[out], m[out]
         live, iterations[gone] = live[keep], max(done, 0)
-        if live.size:  # none left: a failed batch has no step yet
+        if live.size:  # none left: nothing to compact
             x, m, a_bare, last, step, size = (
                 v[keep] for v in (x, m, a_bare, last, step, size))
             rows = tuple(v[keep] for v in rows)
 
     while live.size:
         rabi, m, f, jac = _newton_system(a_bare, stack, rows, x)
-        try:
-            step = np.linalg.solve(jac, f[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            if live.size > 1:
-                # one singular matrix fails the batch, not every point
-                failed[live] = True
-                leave(np.zeros(live.size, dtype=bool))
-                break
-            step = np.full_like(f, np.nan)
+        step = _gesv(jac, f[..., None])[..., 0]
         fnorm, size = np.abs(f).max(axis=-1), np.abs(step).max(axis=-1)
         coupled = (rabi != 0.0).any(axis=-1)
         going = coupled & np.isfinite(size) & (fnorm < last)

@@ -290,15 +290,16 @@ class TestNewton:
 
     @staticmethod
     def count_factorizations(monkeypatch):
-        # (matrices factored, solutions) of every np.linalg.solve call
-        solve, calls = np.linalg.solve, []
+        # (matrices factored, solutions) of every call of the solver's
+        # batched LAPACK solve
+        solve, calls = hfs.steady._gesv, []
 
         def counted(a, b):
             out = solve(a, b)
             calls.append((len(a), out[..., 0].copy()))
             return out
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(hfs.steady, "_gesv", counted)
         return calls
 
     def test_settled_point_keeps_its_last_newton_solve(self, params,
@@ -1312,7 +1313,7 @@ class TestMatchesPreChangeSolve:
 
     def test_singular_batches(self):
         # without decay every Newton matrix is singular and fails its
-        # batch; without drive every coupling vanishes
+        # point; without drive every coupling vanishes
         opts = hfs.SolveOptions()
         grid = np.linspace(-2.0, 2.0, 5)
         p = hfs.sodium_d1().replace(gamma31=0.0, gamma32=0.0, gamma41=0.0,
@@ -1364,6 +1365,156 @@ class TestMatchesPreChangeSolve:
             assert_same_bytes(
                 hfs.solve_selfconsistent(p, d),
                 ref_solve_selfconsistent(p, d, hfs.SolveOptions()))
+
+
+# -- the batched LAPACK solve -----------------------------------------------
+
+def detuning_entries(stack, target):
+    """The generators of ``stack`` (with or without their couplings) whose
+    detuning entries equal those of the generator ``target``."""
+    from hfs.steady import _DETUNING, _basis
+    entries = _basis()[_DETUNING] != 0.0
+    return np.all(stack[:, entries] == target[entries], axis=-1)
+
+
+class TestBatchedSolve:
+    """numpy's private gufunc behind every solve: ``np.linalg.solve``'s
+    bytes, and a singular matrix failing its own point only."""
+
+    @staticmethod
+    def systems(n):
+        # (n, 16, 16) system matrices of the paper grid and Newton
+        # matrices at random density matrices
+        from hfs.config import parse_config
+        from hfs.steady import (_affine_split, _newton_stack, _newton_system,
+                                _system_rows)
+        p = parse_config(CONFIG.read_text()).system_params()
+        drive = hfs.Drive(omega=20.0, ndd_enabled=True)
+        a_bare, bare, eps = _affine_split(
+            p, drive, np.linspace(-5.0, 5.0, n) * p.delta_u)
+        x = random_density_states(np.random.default_rng(n), n)
+        jac = _newton_system(a_bare, *_newton_stack(a_bare, bare, eps), x)[3]
+        return _system_rows(a_bare)[0], jac
+
+    @pytest.mark.parametrize("n", [1, 401])
+    def test_matches_linalg_solve(self, n):
+        # a change in numpy's private kernel shows up here first
+        from hfs.steady import _TRACE_RHS, _gesv
+        rng = np.random.default_rng(83)
+        for m in self.systems(n):
+            for b in (_TRACE_RHS[:, None], rng.normal(size=(n, 16, 1))):
+                assert (_gesv(m, b).tobytes()
+                        == np.linalg.solve(m, b).tobytes())
+
+    def test_singular_matrix_fails_its_own_row(self):
+        from hfs.steady import _TRACE_RHS, _gesv
+        for m in self.systems(9):
+            m[4] = 0.0
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(m, _TRACE_RHS[:, None])
+            with np.errstate(all="ignore"):
+                x = _gesv(m, _TRACE_RHS[:, None])[..., 0]
+            assert np.isnan(x[4]).all()
+            others = np.delete(np.arange(9), 4)
+            assert np.isfinite(x[others]).all()
+            assert (x[others].tobytes() == np.linalg.solve(
+                m[others], _TRACE_RHS[:, None])[..., 0].tobytes())
+
+    @pytest.mark.parametrize("ndd", [False, True])
+    def test_error_state_restored(self, ndd):
+        # the solves ignore floating-point errors, and give the caller's
+        # error state back on every exit, a raise included
+        p = hfs.sodium_d1().replace(gamma31=0.0, gamma32=0.0, gamma41=0.0,
+                                    gamma42=0.0)
+        with np.errstate(all="warn"):
+            state = np.geterr()
+            sol = hfs.solve_grid(p, 2.0, np.linspace(-2.0, 2.0, 5), ndd)
+            assert sol.singular.all() and np.geterr() == state
+            with pytest.raises(hfs.SingularSystem):
+                hfs.solve_selfconsistent(p, hfs.Drive(omega=2.0,
+                                                      ndd_enabled=ndd))
+            assert np.geterr() == state
+
+    @pytest.mark.parametrize("when", ["bare", "iterate"])
+    def test_singular_newton_matrix_in_a_regular_stack(self, monkeypatch,
+                                                       when):
+        # one point's Newton matrix is singular, at the solve at the bare
+        # couplings (the point fails, and alone it is singular) or at its
+        # iterates (it stalls, and Picard continues it in the stack): the
+        # other points settle in the stack with the bytes they have alone,
+        # and no point but a failed one is solved again on its own
+        from hfs.steady import _affine_split
+        p = hfs.sodium_d1()
+        grid = np.linspace(-1.0, 1.0, 7) * p.delta_u
+        drive = hfs.Drive(omega=5.0, ndd_enabled=True)
+        target = _affine_split(p, drive, grid[2:3])[0][0]
+        unfaulted = hfs.solve_grid(p, 5.0, grid[2:3], True).iterations[0]
+
+        def faulty(newton_system):
+            def system(base, bare, eps, x):
+                out = newton_system(base, bare, eps, x)
+                moved = np.any(x != 0.0, axis=-1)
+                hit = detuning_entries(base, target) & (
+                    moved if when == "iterate" else ~moved)
+                out[3][hit] = 0.0
+                return out
+            return system
+
+        solve_point, alone = hfs.steady._solve_point, []
+
+        def counted(params, drive, delta_c, opts):
+            alone.append(delta_c)
+            return solve_point(params, drive, delta_c, opts)
+
+        monkeypatch.setattr(hfs.steady, "_newton_system",
+                            faulty(hfs.steady._newton_system))
+        monkeypatch.setitem(globals(), "ref_newton_system",
+                            faulty(ref_newton_system))
+        monkeypatch.setattr(hfs.steady, "_solve_point", counted)
+        opts = hfs.SolveOptions()
+        sol = assert_same_solves(p, 5.0, grid, opts)
+        # solve_grid's re-solves, then solve_selfconsistent at every point
+        assert alone == ([grid[2]] if when == "bare" else []) + list(grid)
+        assert sol.singular.tolist() == [when == "bare" if k == 2 else False
+                                         for k in range(len(grid))]
+        if when == "iterate":  # Picard took more iterations than Newton
+            assert sol.converged[2] and sol.iterations[2] > unfaulted
+        for k in np.delete(np.arange(len(grid)), 2):
+            one = hfs.solve_grid(p, 5.0, grid[k:k + 1], True, opts)
+            for name in ("x", "converged", "iterations", "residual"):
+                assert (getattr(sol, name)[k:k + 1].tobytes()
+                        == getattr(one, name).tobytes())
+
+    def test_singular_system_in_a_regular_stack(self, monkeypatch):
+        # NDD off: one point's system matrix is singular; it alone is
+        # solved again, and found singular, and the other points keep the
+        # bytes they have alone
+        from hfs.steady import _affine_split
+        p = hfs.sodium_d1()
+        grid = np.linspace(-1.0, 1.0, 7) * p.delta_u
+        target = _affine_split(p, hfs.Drive(omega=5.0), grid[2:3])[0][0]
+        system_rows, solve_point = (hfs.steady._system_rows,
+                                    hfs.steady._solve_point)
+        alone = []
+
+        def zeroed(a):
+            m, kept = system_rows(a)
+            m[detuning_entries(a, target)] = 0.0
+            return m, kept
+
+        def counted(params, drive, delta_c, opts):
+            alone.append(delta_c)
+            return solve_point(params, drive, delta_c, opts)
+
+        monkeypatch.setattr(hfs.steady, "_system_rows", zeroed)
+        monkeypatch.setattr(hfs.steady, "_solve_point", counted)
+        sol = hfs.solve_grid(p, 5.0, grid)
+        assert alone == [grid[2]]
+        assert np.flatnonzero(sol.singular).tolist() == [2]
+        for k in np.delete(np.arange(len(grid)), 2):
+            one = hfs.solve_grid(p, 5.0, grid[k:k + 1])
+            assert sol.x[k].tobytes() == one.x[0].tobytes()
+            assert sol.residual[k] == one.residual[0]
 
 
 # -- the generators are affine in the packed state --------------------------
