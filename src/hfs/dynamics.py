@@ -41,13 +41,17 @@ route of ``scipy.linalg.expm`` on one real matrix: scipy's own kernels
 ``scipy.linalg._matfuncs_expm``, then the squarings.  On a 16x16 generator
 a quarter to a third of an ``expm`` call is its argument checks and batch
 loop, which a relaxation would pay once per chunk; the kernels alone give
-the same matrix bit for bit.  The relaxation's chunk loop (its
-squarings and its matrix-vector products) and the exact route's
-uniform-grid fill and squarings are ``np.dot`` calls, and the
-relaxation's squarings write into reused buffers: on these contiguous
-float64 operands ``np.dot`` runs the same BLAS kernel as ``@``, so the bits
-are those of ``@``, without the matmul dispatch and, where ``out`` is
-given, a new array per product.  Three products stay ``@``: the
+the same matrix bit for bit.  Each relaxation owns one ``(5, 16, 16)``
+work array, which it hands to :func:`_expm`: a chunk's generator is scaled
+into its slot 0, the Pade step and the squarings run in it, and a fixed
+generator's propagators are squared within it; the generator at the
+state's couplings is refreshed in place.  The relaxation's chunk loop (its
+squarings, its generator refresh and its matrix-vector products) and the
+exact route's uniform-grid fill and squarings are ``np.dot`` calls: on
+these contiguous float64 operands ``np.dot`` runs the same BLAS kernel as
+``@``, so the bits are those of ``@``, without the matmul dispatch and,
+where ``out`` is given, a new array per product.  Three products stay
+``@``: the
 relaxation's residual at its initial state, taken once per call, the
 exact route's batched propagators applied at requested times, and the
 integrators' right-hand sides.  A
@@ -85,6 +89,11 @@ from .steady import (_COUPLINGS, _PAIR_RE, SteadyResult, _affine_split,
 
 _TRACE_DEFECT_LIMIT = 1e-9
 
+#: the packed ground state, the relaxation's default initial state;
+#: read-only, so that no relaxation can write to it
+_GROUND_PACKED = pack(ground_state())
+_GROUND_PACKED.flags.writeable = False
+
 TRAJECTORY_CSV_HEADER = ",".join(("t",) + STATE_COLUMNS)
 
 
@@ -117,17 +126,21 @@ def _affine_rhs(a_bare: np.ndarray, eps: np.ndarray):
     return lambda t, x: a_bare @ x - (eps * x[_PAIR_RE]) @ (basis @ x)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def _expm(a: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """``scipy.linalg.expm(a)`` for one real (n, n) matrix that is neither
     diagonal nor triangular, bit for bit: scipy's Pade step on a
     ``(5, n, n)`` work array, then its squarings, without the argument
     checks and the batch loop around them.  ``expm`` squares by ``e @ e``;
     here each square is ``np.dot`` into the other of the work array's
     slots 0 and 1 (after the Pade step slot 1 holds a spent power of
-    ``a``), the same BLAS product without a new array each time.  The result is a view of this
-    call's own work array.  Raises as ``expm`` does when a kernel fails."""
-    work = np.empty((5,) + a.shape)
-    work[0] = a
+    ``a``), the same BLAS product without a new array each time.  The work
+    array is this call's own, or ``work`` when the caller owns one, whose
+    slot 0 must then hold ``a`` already; the result is a view of it, which
+    the next call on the same work array overwrites.  Raises as ``expm``
+    does when a kernel fails."""
+    if work is None:
+        work = np.empty((5,) + a.shape)
+        work[0] = a
     m, s = pick_pade_structure(work)
     if m < 0:
         raise MemoryError("could not allocate the Pade structure "
@@ -307,32 +320,40 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     if not 0.0 < t_max < np.inf:
         raise ValueError("t_max must be positive and finite")
 
-    rho = ground_state() if rho0 is None else _initial_state(rho0)
+    rho = None if rho0 is None else _initial_state(rho0)
     (a_bare,), bare, eps = _affine_split(params, drive, [drive.delta_c])
 
     def couplings(x):
         return bare - eps * x[_PAIR_RE]
 
-    # the generator at the state's couplings: a_bare - x @ g, or a_bare
-    # itself when it is fixed
-    x, fixed, a = pack(rho), not eps.any(), a_bare
+    # the generator at the state's couplings: a_bare - x @ g, refreshed in
+    # place between chunks through the flat views, or a_bare itself when
+    # it is fixed
+    x = _GROUND_PACKED if rho is None else pack(rho)
+    fixed, a = not eps.any(), a_bare
     if not fixed:
-        g = _state_linear(eps)
-        a = a_bare - np.dot(x, g).reshape(16, 16)
+        g, xg, a = _state_linear(eps), np.empty(256), np.empty((16, 16))
+        a_bare_flat, a_flat = a_bare.reshape(256), a.reshape(256)
+        np.subtract(a_bare_flat, np.dot(x, g, out=xg), out=a_flat)
     v = a @ x
     zero_drive = drive.omega == 0.0 and not np.any(couplings(x))
     # the full residual only where it may be returned (see the loop's screen)
     if zero_drive or not np.abs(v).max() >= residual_tol:
         resid = float(_rho_max_abs(v))
         if zero_drive or resid < residual_tol:
+            rho = ground_state() if rho is None else rho
             return SteadyResult(
                 rho=rho, converged=not zero_drive, iterations=0,
                 residual=resid, rabi_final=effective_rabi(params, drive, rho),
                 message="zero drive: steady state is not unique"
                 if zero_drive else "")
 
+    # the exponentials' work array: the chunk's scaled generator goes into
+    # slot 0, and a fixed generator's squarings alternate between the
+    # propagator's slot and slot 2
+    work = np.empty((5, 16, 16))
     t, chunk, iterations = 0.0, 1.0, 0
-    prop, spare = None, np.empty_like(a)
+    prop, spare = None, work[2]
     while t < t_max:
         dt = min(chunk, t_max - t)
         if method == "rk":
@@ -341,17 +362,17 @@ def relax_to_steady(params: SystemParams, drive: Drive,
         else:
             if fixed and prop is not None and dt == chunk:
                 # twice the last chunk: expm(2 A s) = expm(A s)^2, into
-                # the spare buffer, which the last propagator becomes
+                # the spare slot, which the last propagator becomes
                 prop, spare = np.dot(prop, prop, out=spare), prop
             else:
-                prop = _expm(a * dt)
+                prop = _expm(np.multiply(a, dt, out=work[0]), work)
             x = np.dot(prop, x)
         t += dt
         chunk *= 2.0
         iterations += 1
         if not fixed:
-            a = a_bare - np.dot(x, g).reshape(16, 16)
-        v = np.dot(a, x)
+            np.subtract(a_bare_flat, np.dot(x, g, out=xg), out=a_flat)
+        np.dot(a, x, out=v)
         # max|v| <= _rho_max_abs(v): a chunk with max|v| at or above the
         # tolerance is not converged; a NaN goes on to the full residual
         if np.abs(v).max() >= residual_tol and t < t_max:

@@ -43,6 +43,7 @@ form of :mod:`hfs.identities`.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,7 @@ from numpy.linalg._umath_linalg import solve as _gesv
 
 from .model import STATE_COLUMNS, pack, rhs_verbatim, unpack
 from .params import (PAIRS, Drive, RabiSet, SystemParams, _is_real,
-                     bare_rabi, effective_rabi)
+                     effective_rabi)
 
 _ZERO_ROW_TOL = 1e-13
 
@@ -146,6 +147,7 @@ def _couplings(rabi: RabiSet) -> np.ndarray:
 #: decay rates and splittings ``_RATES``, the bare detuning, and the four
 #: couplings in ``PAIRS`` order
 _RATES = ("gamma31", "gamma32", "gamma41", "gamma42", "delta_g", "delta_e")
+_rates = operator.attrgetter(*_RATES)
 _DETUNING = 6
 _COUPLINGS = slice(7, 11)
 
@@ -176,6 +178,12 @@ def _basis() -> np.ndarray:
     return basis
 
 
+@functools.cache
+def _flat_basis() -> np.ndarray:
+    """:func:`_basis` as its read-only (11, 256) view."""
+    return _basis().reshape(11, -1)
+
+
 def _generators(params: SystemParams, delta_c,
                 rabi: np.ndarray) -> np.ndarray:
     """(N, 16, 16) generators at the detunings ``delta_c`` and couplings
@@ -183,11 +191,12 @@ def _generators(params: SystemParams, delta_c,
     the flat :func:`_basis`, exact term by term, since every basis entry is
     0, +-1/2, +-1 or +-2 and an entry sums at most four rate, splitting and
     detuning terms or else exactly one coupling."""
-    coef = np.empty((np.size(delta_c), 11))
-    coef[:, :_DETUNING] = [getattr(params, k) for k in _RATES]
-    coef[:, _DETUNING] = np.asarray(delta_c, dtype=float) + params.delta_u
+    delta = np.asarray(delta_c, dtype=float)
+    coef = np.empty((delta.size, 11))
+    coef[:, :_DETUNING] = _rates(params)
+    coef[:, _DETUNING] = delta + params.delta_u
     coef[:, _COUPLINGS] = rabi
-    return np.dot(coef, _basis().reshape(11, -1)).reshape(-1, 16, 16)
+    return np.dot(coef, _flat_basis()).reshape(-1, 16, 16)
 
 
 def _affine_split(params: SystemParams, drive: Drive, delta_c: np.ndarray):
@@ -204,7 +213,10 @@ def _affine_split(params: SystemParams, drive: Drive, delta_c: np.ndarray):
     if drive.ndd_enabled:
         eps_pairs = drive.epsilon_for(params)
         eps = np.array([eps_pairs[p] for p in PAIRS])
-    bare = _couplings(bare_rabi(params, drive))
+    # bare_rabi's products, without the RabiSet
+    w = drive.omega
+    bare = np.array([params.mu13 * w, params.mu14 * w, params.mu23 * w,
+                     params.mu24 * w])
     return _generators(params, delta_c, bare), bare, eps
 
 
@@ -320,10 +332,12 @@ def _solve_stack(a: np.ndarray, rabi: np.ndarray):
 def _newton_stack(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray):
     """``(stack, rows)``: the constants of :func:`_newton_system`.
 
-    ``stack = (bare, eps, g, pinned)`` holds what every point shares: ``g``
-    is :func:`_state_linear` with the generator's row 0 zeroed, since the
-    trace row does not follow the state, and ``pinned`` tells whether any
-    point has a pinned row.  ``rows = (m0, kept, epsk)`` holds one entry
+    ``stack = (bare, eps, g, pinned, g_full)`` holds what every point
+    shares: ``g_full`` is :func:`_state_linear`, made once per stack for
+    the residuals and the clean solves of :func:`_solve_axis`, and ``g`` its
+    copy with the generator's row 0 zeroed, since the trace row does not
+    follow the state; ``pinned`` tells whether any point has a pinned row.
+    ``rows = (m0, kept, epsk)`` holds one entry
     per point: the system matrices and kept rows of :func:`_system_rows` of
     the generators ``a_bare`` at the bare couplings, and ``eps * kept``
     with the couplings in ``_PAIR_ORDER``, shape (N, 16, 4).
@@ -338,10 +352,12 @@ def _newton_stack(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray):
     then hold for the whole run.
     """
     m0, kept = _system_rows(a_bare)
-    g = _state_linear(eps)
+    g_full = _state_linear(eps)
+    g = g_full.copy()
     g.reshape(16, 16, 16)[:, 0] = 0.0
     epsk = eps[_PAIR_ORDER] * kept[..., None]
-    return (bare, eps, g, not kept[..., _PINNABLE].all()), (m0, kept, epsk)
+    return ((bare, eps, g, not kept[..., _PINNABLE].all(), g_full),
+            (m0, kept, epsk))
 
 
 def _newton_system(a_bare: np.ndarray, stack: tuple, rows: tuple,
@@ -366,7 +382,7 @@ def _newton_system(a_bare: np.ndarray, stack: tuple, rows: tuple,
     bit (see :func:`_state_linear`), wherever those pin the rows that the
     bare couplings pin (see :func:`_newton_stack`).
     """
-    bare, eps, g, pinned = stack
+    bare, eps, g, pinned, _ = stack
     m0, kept, epsk = rows
     rabi = bare - eps * x.take(_PAIR_RE, axis=-1)
     m = m0 - (x @ g).reshape(m0.shape)
@@ -444,13 +460,14 @@ def _picard(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
 
 
 @np.errstate(all="ignore")
-def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
+def _lockstep_newton(a_bare: np.ndarray, stack: tuple, rows: tuple,
                      opts: SolveOptions):
     """Cold Newton on the packed states of every point of a stack at once.
 
-    The constants of :func:`_newton_stack` are made once; each pass builds
-    :func:`_newton_system` at the live states from them and takes the step
-    ``-jac^-1 f`` in one batched solve.  From ``x = 0``, where
+    ``stack`` and ``rows`` are the constants of :func:`_newton_stack` at
+    the generators ``a_bare``; each pass builds :func:`_newton_system` at
+    the live states from them and takes the step ``-jac^-1 f`` in one
+    batched solve.  From ``x = 0``, where
     ``jac`` is the system matrix at the bare couplings and ``f = -e_0``,
     the first step is the solve at the bare couplings, which counts as no
     iteration.  A point leaves the lockstep when its step's max-abs change
@@ -469,16 +486,16 @@ def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     pass where some step may settle.  The flags are set, and the live
     arrays compacted (writing out the states of the points that leave,
     and keeping the per-point constants of those that go on), only in a
-    pass where a point leaves; when every point leaves at once, the live
-    arrays are the outputs.
+    pass where a point leaves.  The output arrays are made when a first
+    subset of the points leaves; when every point leaves at once, as the
+    one point of a one-point stack does, the live arrays are the outputs.
     """
     n = len(a_bare)
-    x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
     failed, stalled, converged = np.zeros((3, n), dtype=bool)
     iterations = np.zeros(n, dtype=int)
     x, live, last, done = (np.zeros((n, 16)), np.arange(n),
                            np.full(n, np.inf), -1)
-    stack, rows = _newton_stack(a_bare, bare, eps)
+    x_out = m_out = None
 
     def leave(keep):
         # write out the points not kept and compact the live arrays
@@ -488,6 +505,8 @@ def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         if gone.size == n:  # all at once: the live arrays are the outputs
             x_out, m_out = x, m
         else:
+            if live.size == n:  # the first to leave: make the outputs
+                x_out, m_out = np.empty((n, 16)), np.empty((n, 16, 16))
             x_out[gone], m_out[gone] = x[out], m[out]
         live, iterations[gone] = live[keep], max(done, 0)
         if live.size:  # none left: nothing to compact
@@ -499,7 +518,9 @@ def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         rabi, m, f, jac = _newton_system(a_bare, stack, rows, x)
         step = _gesv(jac, f[..., None])[..., 0]
         fnorm, size = np.abs(f).max(axis=-1), np.abs(step).max(axis=-1)
-        coupled = (rabi != 0.0).any(axis=-1)
+        # a coupling that is NaN counts, and one that is -0.0 does not, as
+        # in ``rabi != 0.0``
+        coupled = rabi.any(axis=-1)
         going = coupled & np.isfinite(size) & (fnorm < last)
         if done >= 0:  # the state x = 0 sets no bar for the bare solve
             last = fnorm
@@ -517,6 +538,8 @@ def _lockstep_newton(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
             settled = _rho_max_abs(step) < opts.fp_tol
             converged[live[settled]] = True
             leave(~settled & (done < opts.max_iters))
+    if x_out is None:  # an empty stack: no pass ran
+        x_out, m_out = x, np.empty((0, 16, 16))
     return x_out, m_out, converged, iterations, stalled, failed
 
 
@@ -544,6 +567,10 @@ def _solve_axis(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     failed, m)``, ``failed`` marking the points not settled (their other
     fields mean nothing) and ``m`` holding each point's last system
     matrix.
+
+    The constants of :func:`_newton_stack` are made once per stack: the
+    lockstep runs on them, and the residuals and clean solves take ``G``
+    from them.
     """
     n = len(a_bare)
     if not eps.any():
@@ -552,9 +579,10 @@ def _solve_axis(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
         return (x, np.ones(n, dtype=bool), np.ones(n, dtype=int),
                 _rho_max_abs(resid), ~(ok & _gate(resid)), m)
 
+    stack, rows = _newton_stack(a_bare, bare, eps)
     x, m, converged, iterations, stalled, failed = _lockstep_newton(
-        a_bare, bare, eps, opts)
-    g = _state_linear(eps)
+        a_bare, stack, rows, opts)
+    g = stack[-1]  # _state_linear(eps)
     if converged.all():
         # every point settled: no Picard, no clean solve, no subsets
         resid = _own_residual(a_bare, g, x)

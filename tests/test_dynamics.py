@@ -400,6 +400,34 @@ def test_expm_results_do_not_alias():
     assert second.tobytes() == scipy.linalg.expm(32.0 * a).tobytes()
 
 
+def test_work_arrays_are_not_shared_between_calls(params):
+    # each relaxation owns its work array, and _expm works in the one its
+    # caller hands it: what a first call returns keeps its bytes through a
+    # second call
+    first = hfs.relax_to_steady(
+        params, hfs.Drive(omega=5.0, delta_c=12.0, ndd_enabled=True))
+    kept = first.rho.copy()
+    second = hfs.relax_to_steady(
+        params, hfs.Drive(omega=20.0, delta_c=-25.0, ndd_enabled=True))
+    assert first.iterations > 1 and second.iterations > 1
+    assert first.rho.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first.rho, second.rho)
+
+    # an even and an odd number of squarings, each in its caller's array
+    a = demo_generator()
+    work = np.empty((2, 5) + a.shape)
+    np.multiply(a, 16.0, out=work[0, 0])
+    first = _expm(work[0, 0], work[0])
+    kept = first.copy()
+    np.multiply(a, 32.0, out=work[1, 0])
+    second = _expm(work[1, 0], work[1])
+    assert np.shares_memory(first, work[0])
+    assert np.shares_memory(second, work[1])
+    assert first.tobytes() == kept.tobytes()
+    assert first.tobytes() == scipy.linalg.expm(16.0 * a).tobytes()
+    assert second.tobytes() == scipy.linalg.expm(32.0 * a).tobytes()
+
+
 @pytest.mark.parametrize("kernel, code, error", [
     ("pick_pade_structure", (-1, 0), MemoryError),
     ("pade_UV_calc", -11, MemoryError),
@@ -567,13 +595,15 @@ class TestRelaxToSteady:
     @staticmethod
     def count_expm(monkeypatch, expm=None):
         """Record every exponential ``relax_to_steady`` takes, computed by
-        ``expm`` (by default the module's own ``_expm``)."""
+        ``expm`` (by default the module's own ``_expm`` on the relaxation's
+        work array)."""
         calls = []
+        own = expm is None
         expm = expm or hfs.dynamics._expm
 
-        def counted(a):
-            calls.append(a)
-            return expm(a)
+        def counted(a, work):
+            calls.append(a.copy())
+            return expm(a, work) if own else expm(a)
         monkeypatch.setattr(hfs.dynamics, "_expm", counted)
         return calls
 

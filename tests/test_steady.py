@@ -644,7 +644,7 @@ class TestGrid:
         # Picard, and failed at the second Newton step (its couplings
         # forced to zero).  Each point's fields equal those of the point
         # solved alone, bit for bit
-        from hfs.steady import _affine_split, _lockstep_newton
+        from hfs.steady import _affine_split, _lockstep_newton, _newton_stack
         p = hfs.sodium_d1()
         p = p.replace(number_density=300.0 * p.number_density)
         grid = (np.linspace(-3.0, 3.0, 121)[[0, 40, 46, 50, 62, 90]]
@@ -665,7 +665,7 @@ class TestGrid:
             return out
 
         monkeypatch.setattr(hfs.steady, "_newton_system", failing)
-        stack = _lockstep_newton(base, bare, eps, opts)
+        stack = _lockstep_newton(base, *_newton_stack(base, bare, eps), opts)
         _, _, converged, iterations, stalled, failed = stack
         assert iterations.tolist() == [4, 5, 5, 1, 2, 1]
         assert converged.tolist() == [True, True, False, False, False, False]
@@ -673,7 +673,8 @@ class TestGrid:
         assert np.flatnonzero(failed).tolist() == [5]
         for k in range(len(grid)):
             passes.clear()
-            alone = _lockstep_newton(base[k:k + 1], bare, eps, opts)
+            alone = _lockstep_newton(
+                base[k:k + 1], *_newton_stack(base[k:k + 1], bare, eps), opts)
             for got, ref in zip(stack, alone):
                 assert np.array_equal(got[k], ref[0])
 
@@ -1225,12 +1226,13 @@ def assert_same_solves(params, omega, grid, opts):
 def assert_same_lockstep(params, omega, grid, opts):
     """The lockstep's 6-tuple on the whole stack and on each one-point
     stack, against the reference lockstep on the pre-change split."""
-    from hfs.steady import _affine_split, _lockstep_newton
+    from hfs.steady import _affine_split, _lockstep_newton, _newton_stack
     drive = hfs.Drive(omega=omega, ndd_enabled=True)
     a_bare, bare, eps = _affine_split(params, drive, grid)
     base = ref_affine_split(params, drive, grid)[0]
     for k in [slice(None)] + [slice(k, k + 1) for k in range(len(base))]:
-        got = _lockstep_newton(a_bare[k], bare, eps, opts)
+        got = _lockstep_newton(
+            a_bare[k], *_newton_stack(a_bare[k], bare, eps), opts)
         ref = ref_lockstep_newton(base[k], bare, eps, opts)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
