@@ -306,6 +306,16 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     ``t_max`` is reported via the flag, never raised.  A given ``rho0`` is
     checked as in :func:`evolve`; the default is the ground state.
 
+    The propagation slowly loses unit trace, and the residual cannot see
+    it: ``c`` times a fixed point is a fixed point of the linear flow.  So
+    a returned state whose trace drifted beyond 1e-9 is divided by its
+    trace, as :func:`evolve`'s samples are, and ``residual``,
+    ``converged`` and ``rabi_final`` are those of the state returned.  With
+    a fixed generator this removes the drift's whole effect; with the
+    local-field correction on, the couplings followed the drifted state
+    along the way, so a remainder is left.  A state whose trace vanished
+    or overflowed comes back NaN and not converged.
+
     ``residual_tol`` bounds the residual, not the distance to the fixed
     point, which can be larger by a factor of about one over the decay rate
     of the slowest mode: at ``residual_tol=1e-9`` one random parameter set
@@ -380,6 +390,18 @@ def relax_to_steady(params: SystemParams, drive: Drive,
         resid = float(_rho_max_abs(v))
         if resid < residual_tol:
             break
+    # the residual cannot see a drift of the trace (A (c x) = c A x), so a
+    # state that drifted is renormalised, as evolve's samples are, and its
+    # residual taken again at its own couplings
+    tr = x[:4].sum()
+    if abs(tr - 1.0) > _TRACE_DEFECT_LIMIT:
+        # a trace that vanished or overflowed leaves a NaN state, which is
+        # not converged
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = x / tr
+        if not fixed:
+            np.subtract(a_bare_flat, np.dot(x, g, out=xg), out=a_flat)
+        resid = float(_rho_max_abs(np.dot(a, x, out=v)))
     converged = resid < residual_tol
     # effective_rabi's couplings, from the packed state: the bare ones
     # with the correction off
