@@ -51,14 +51,13 @@ exact route's uniform-grid fill and squarings are ``np.dot`` calls: on
 these contiguous float64 operands ``np.dot`` runs the same BLAS kernel as
 ``@``, so the bits are those of ``@``, without the matmul dispatch and,
 where ``out`` is given, a new array per product.  Three products stay
-``@``: the
-relaxation's residual at its initial state, taken once per call, the
-exact route's batched propagators applied at requested times, and the
-integrators' right-hand sides.  A
-relaxation chunk, or initial state, whose largest packed element of drho/dt
-is at or above ``residual_tol`` skips the full residual (never smaller).
-The kernels are private to scipy.  This
-module relies on the contract of their C implementation:
+``@``: the relaxation's residual at its initial state, taken once per
+call, the exact route's batched propagators applied at requested times,
+and the integrators' right-hand sides.  A relaxation chunk, or initial
+state, whose largest packed element of drho/dt is at or above
+``residual_tol`` skips the full residual (never smaller).  The kernels
+are private to scipy.  This module relies on the contract of their C
+implementation:
 ``pick_pade_structure`` scales the work array itself, and
 ``pade_UV_calc(Am, m)`` returns an error code.  Older scipy releases had a
 Cython version with another argument list that left the scaling to

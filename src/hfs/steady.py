@@ -518,8 +518,7 @@ def _lockstep_newton(a_bare: np.ndarray, stack: tuple, rows: tuple,
         rabi, m, f, jac = _newton_system(a_bare, stack, rows, x)
         step = _gesv(jac, f[..., None])[..., 0]
         fnorm, size = np.abs(f).max(axis=-1), np.abs(step).max(axis=-1)
-        # a coupling that is NaN counts, and one that is -0.0 does not, as
-        # in ``rabi != 0.0``
+        # a NaN coupling counts as coupled, a -0.0 one does not
         coupled = rabi.any(axis=-1)
         going = coupled & np.isfinite(size) & (fnorm < last)
         if done >= 0:  # the state x = 0 sets no bar for the bare solve
