@@ -17,12 +17,12 @@ iterate factors its matrices once, and the Newton matrix is the flow
 Jacobian with the trace row in place.  The generator is exactly affine in
 ``x`` too, ``A_bare - x G`` with a constant ``G`` made once per stack: a
 Newton pass forms ``M(r(x)) = M(r(0)) - x G`` from one product, and the
-Picard fallback, the clean solves, the residuals and the relaxation in
-:mod:`hfs.dynamics` take their generators from it.  A point that settles
-returns its last Newton iterate; a point whose Newton step fails to make
-progress continues by a damped Picard iteration, and a clean solve follows
-at the couplings it reaches.  When every point settles, the residuals are
-taken on the whole stack at once.
+residuals and the relaxation in :mod:`hfs.dynamics` take their generators
+from it.  A Newton step that does not lower the max-abs residual is
+shortened by ``damping`` from the last accepted iterate until it does, in
+the same lockstep; this is the only path.  A point that settles returns
+its last Newton iterate, gated on its residual at its own couplings, and
+one that does not returns its last accepted iterate.
 
 Every solve is LAPACK's batched ``gesv`` through numpy's private gufunc
 ``numpy.linalg._umath_linalg.solve``, without the Python wrapper that is
@@ -97,10 +97,12 @@ class SingularSystem(Exception):
 class SolveOptions:
     """Controls of the self-consistent solve.
 
-    ``fp_tol`` bounds the max-abs change in rho of the last step, a Newton
-    step on the packed state or a Picard iteration; ``max_iters`` bounds
-    both kinds of step together.  ``damping`` is the mixing weight of the
-    Picard fallback only.
+    ``fp_tol`` bounds the max-abs change in rho of the last Newton step
+    on the packed state; ``max_iters`` bounds the Newton passes, retried
+    steps included.  ``damping`` is the factor by which a step that does
+    not lower the residual is shortened: the next trial is the last
+    accepted iterate minus ``damping`` times the rejected step.  At 1 a
+    rejected step is tried again unchanged until ``max_iters``.
     """
 
     fp_tol: float = 1e-11
@@ -334,13 +336,13 @@ def _newton_stack(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray):
 
     ``stack = (bare, eps, g, pinned, g_full)`` holds what every point
     shares: ``g_full`` is :func:`_state_linear`, made once per stack for
-    the residuals and the clean solves of :func:`_solve_axis`, and ``g`` its
-    copy with the generator's row 0 zeroed, since the trace row does not
-    follow the state; ``pinned`` tells whether any point has a pinned row.
-    ``rows = (m0, kept, epsk)`` holds one entry
-    per point: the system matrices and kept rows of :func:`_system_rows` of
-    the generators ``a_bare`` at the bare couplings, and ``eps * kept``
-    with the couplings in ``_PAIR_ORDER``, shape (N, 16, 4).
+    the residuals of :func:`_solve_axis`, and ``g`` its copy with the
+    generator's row 0 zeroed, since the trace row does not follow the
+    state; ``pinned`` tells whether any point has a pinned row.  ``rows =
+    (m0, kept, epsk)`` holds one entry per point: the system matrices and
+    kept rows of :func:`_system_rows` of the generators ``a_bare`` at the
+    bare couplings, and ``eps * kept`` with the couplings in
+    ``_PAIR_ORDER``, shape (N, 16, 4).
 
     The pinned rows are taken once, at the bare couplings, and Newton
     cannot change them: a population row is pinned only when its level has
@@ -412,18 +414,6 @@ def _singular(rabi: np.ndarray, m: np.ndarray) -> SingularSystem:
                           cond=float(np.linalg.cond(m)))
 
 
-def _solve_one(a: np.ndarray, rabi: np.ndarray) -> np.ndarray:
-    """Packed steady state of a one-point stack ``a``, couplings ``rabi``.
-
-    The solution must pass the residual gate on its generator; otherwise,
-    or when the solve is not usable, raises :class:`SingularSystem`.
-    """
-    x, m, ok = _solve_stack(a, rabi)
-    if not (ok[0] and _gate(_apply(a, x))[0]):
-        raise _singular(rabi, m[0])
-    return x[0]
-
-
 def solve_linear_steady(params: SystemParams, drive: Drive,
                         rabi: RabiSet) -> np.ndarray:
     """Steady state at a frozen Rabi set.
@@ -431,75 +421,69 @@ def solve_linear_steady(params: SystemParams, drive: Drive,
     The population-1 row is replaced by the trace constraint.  A population
     whose equation row is identically zero (a level fully decoupled from
     drive and decay) is pinned to zero, matching evolution from the ground
-    state.  Any remaining rank deficiency raises :class:`SingularSystem`.
+    state.  The solution must pass the residual gate on its generator; any
+    remaining rank deficiency raises :class:`SingularSystem`.
     """
     rabi = _couplings(rabi)
     a = _generators(params, np.array([drive.delta_c]), rabi)
-    return unpack(_solve_one(a, rabi))
-
-
-def _picard(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
-            opts: SolveOptions, x: np.ndarray,
-            iterations: int) -> tuple[np.ndarray, bool, int]:
-    """Damped Picard iteration of a one-point stack from packed ``x``.
-
-    Recompute the couplings from the current iterate, re-solve the
-    generator ``a_bare - x @ G`` there, mix with ``damping``, until the
-    max-abs change in rho drops below ``fp_tol`` or ``max_iters``
-    iterations are spent in all, counting on from ``iterations``.
-    """
-    g = _state_linear(eps)
-    for iterations in range(iterations + 1, opts.max_iters + 1):
-        x_new = _solve_one(a_bare - (x @ g).reshape(a_bare.shape),
-                           bare - eps * x[_PAIR_RE])
-        change = float(_rho_max_abs(x_new - x))
-        x = opts.damping * x_new + (1.0 - opts.damping) * x
-        if change < opts.fp_tol:
-            return x, True, iterations
-    return x, False, iterations
+    x, m, ok = _solve_stack(a, rabi)
+    if not (ok[0] and _gate(_apply(a, x))[0]):
+        raise _singular(rabi, m[0])
+    return unpack(x[0])
 
 
 @np.errstate(all="ignore")
 def _lockstep_newton(a_bare: np.ndarray, stack: tuple, rows: tuple,
                      opts: SolveOptions):
-    """Cold Newton on the packed states of every point of a stack at once.
+    """Cold Newton on the packed states of every point of a stack at once,
+    each step backtracked until the residual falls.
 
     ``stack`` and ``rows`` are the constants of :func:`_newton_stack` at
     the generators ``a_bare``; each pass builds :func:`_newton_system` at
     the live states from them and takes the step ``-jac^-1 f`` in one
-    batched solve.  From ``x = 0``, where
-    ``jac`` is the system matrix at the bare couplings and ``f = -e_0``,
-    the first step is the solve at the bare couplings, which counts as no
-    iteration.  A point leaves the lockstep when its step's max-abs change
-    in rho drops below ``fp_tol`` or it has spent ``max_iters`` iterations.
-    Returns ``(x, m, converged, iterations, stalled, failed)``: ``m`` holds
-    each point's last system matrix, ``stalled`` an iterate whose residual
-    ``|f|`` failed to decrease or whose step was not finite (the point
-    keeps that iterate), and ``failed`` couplings that all vanish or a
-    solve at the bare couplings that was not finite.  A singular matrix
-    gives a NaN step for its own point only.
+    batched solve.  From ``x = 0``, where ``jac`` is the system matrix at
+    the bare couplings and ``f = -e_0``, the first step is the solve at
+    the bare couplings: it counts as no iteration, and it is the first
+    accepted iterate.  A later trial is accepted when its max-abs residual
+    ``|f|`` is below that of the last accepted iterate and its own Newton
+    step is finite.  Otherwise it is replaced by the last accepted iterate
+    minus ``damping`` times the step that led to it, a backtracking line
+    search on ``|f|`` after Armijo, and the pass counts as an iteration.
 
-    A pass in which every point goes on costs the system, the solve and a
-    few reductions.  The max-abs of each step is not finite exactly where
-    the step is not, and it bounds the step's change in rho from below
-    (``hypot(a, b) >= max(|a|, |b|)``), so that change is taken only in a
-    pass where some step may settle.  The flags are set, and the live
-    arrays compacted (writing out the states of the points that leave,
-    and keeping the per-point constants of those that go on), only in a
-    pass where a point leaves.  The output arrays are made when a first
-    subset of the points leaves; when every point leaves at once, as the
-    one point of a one-point stack does, the live arrays are the outputs.
+    A point settles, converged, when a full Newton step changes rho by
+    less than ``fp_tol`` in max-abs, and keeps that last iterate.  It
+    leaves unconverged, holding its last accepted iterate, when a
+    backtracked step falls below ``fp_tol``, at ``max_iters``, or when its
+    Newton step at the bare solve is not finite.  Returns ``(x, m,
+    converged, iterations, failed)``: ``m`` holds each point's last system
+    matrix, and ``failed`` couplings that all vanish or a solve at the
+    bare couplings that was not finite.  A singular matrix gives a NaN
+    step for its own point only.
+
+    A pass in which every trial is accepted costs the system, the solve
+    and a few reductions.  The max-abs of each step is not finite exactly
+    where the step is not, and it bounds the step's change in rho from
+    below (``hypot(a, b) >= max(|a|, |b|)``), so that change is taken only
+    in a pass where some step may settle.  The flags are set, the rejected
+    trials replaced and the live arrays compacted (writing out the states
+    of the points that leave, and keeping the per-point constants of those
+    that go on) only in a pass where a trial is rejected or a point
+    leaves.  The output arrays are made when a first subset of the points
+    leaves; when every point leaves at once, as the one point of a
+    one-point stack does, the live arrays are the outputs.
     """
     n = len(a_bare)
-    failed, stalled, converged = np.zeros((3, n), dtype=bool)
+    failed, converged = np.zeros((2, n), dtype=bool)
     iterations = np.zeros(n, dtype=int)
     x, live, last, done = (np.zeros((n, 16)), np.arange(n),
                            np.full(n, np.inf), -1)
+    prev = step = x
     x_out = m_out = None
 
     def leave(keep):
         # write out the points not kept and compact the live arrays
-        nonlocal live, x, m, a_bare, rows, last, step, size, x_out, m_out
+        nonlocal live, x, prev, step, size, going, m, a_bare, rows, last
+        nonlocal x_out, m_out
         out = ~keep
         gone = live[out]
         if gone.size == n:  # all at once: the live arrays are the outputs
@@ -510,43 +494,53 @@ def _lockstep_newton(a_bare: np.ndarray, stack: tuple, rows: tuple,
             x_out[gone], m_out[gone] = x[out], m[out]
         live, iterations[gone] = live[keep], max(done, 0)
         if live.size:  # none left: nothing to compact
-            x, m, a_bare, last, step, size = (
-                v[keep] for v in (x, m, a_bare, last, step, size))
+            x, prev, step, size, going, m, a_bare, last = (
+                v[keep] for v in (x, prev, step, size, going, m, a_bare,
+                                  last))
             rows = tuple(v[keep] for v in rows)
 
     while live.size:
         rabi, m, f, jac = _newton_system(a_bare, stack, rows, x)
-        step = _gesv(jac, f[..., None])[..., 0]
+        trial, step = step, _gesv(jac, f[..., None])[..., 0]
         fnorm, size = np.abs(f).max(axis=-1), np.abs(step).max(axis=-1)
         # a NaN coupling counts as coupled, a -0.0 one does not
         coupled = rabi.any(axis=-1)
         going = coupled & np.isfinite(size) & (fnorm < last)
-        if done >= 0:  # the state x = 0 sets no bar for the bare solve
-            last = fnorm
-        if not going.all():
+        full = going.all()  # no trial rejected: every step is a full one
+        if full:
+            if done >= 0:  # the state x = 0 sets no bar for the bare solve
+                last = fnorm
+        else:
             # a point whose solve at the bare couplings fails has no iterate
             ok = coupled & (np.isfinite(size) | (done >= 0))
             failed[live[~ok]] = True
-            stalled[live[ok & ~going]] = True
-            leave(going)
+            # a rejected trial is tried again closer to the last accepted
+            # iterate; the bare solve has none, and leaves unconverged
+            back = ok & ~going & (done > 0)
+            x[back] = prev[back]
+            step[back] = opts.damping * trial[back]
+            size[back] = np.abs(step[back]).max(axis=-1)
+            if done >= 0:
+                last = np.where(going, fnorm, last)
+            leave(going | back)
             if not live.size:
                 break
-        x -= step
+        prev, x = x, x - step
         done += 1
         if done == opts.max_iters or (size < opts.fp_tol).any():
-            settled = _rho_max_abs(step) < opts.fp_tol
+            stop = _rho_max_abs(step) < opts.fp_tol
+            settled = stop & going  # only a full Newton step settles
             converged[live[settled]] = True
-            leave(~settled & (done < opts.max_iters))
+            at_max = done == opts.max_iters
+            if at_max or not full:
+                # a point that stops unsettled holds its last accepted
+                # iterate
+                stop |= at_max
+                np.copyto(x, prev, where=(stop & ~settled)[:, None])
+            leave(~stop)
     if x_out is None:  # an empty stack: no pass ran
         x_out, m_out = x, np.empty((0, 16, 16))
-    return x_out, m_out, converged, iterations, stalled, failed
-
-
-def _own_residual(a_bare: np.ndarray, g: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """Packed residuals (N, 16) of states ``x`` at their own couplings, on
-    the generators ``a_bare - x @ g`` (``g`` from :func:`_state_linear`)."""
-    return _apply(a_bare - (x @ g).reshape(a_bare.shape), x)
+    return x_out, m_out, converged, iterations, failed
 
 
 def _solve_axis(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
@@ -554,22 +548,18 @@ def _solve_axis(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
     """Steady states of the affine split ``(a_bare, bare, eps)``, one stack.
 
     Without the local-field correction the generators ``a_bare`` are solved
-    as they are.  With it, Newton on the packed state runs in lockstep from
-    the solve at the bare couplings (:func:`_lockstep_newton`).  A point it
-    settles returns its last Newton iterate, gated on the residual of the
-    generator at that state's own couplings; one that fails the gate is not
-    settled.  Every other point (continued by :func:`_picard` from its last
-    iterate after a stalled step, or out of iterations) gets a clean solve
-    at the couplings reached (the generator ``a_bare - x @ G``), gated on
-    the residual of that generator.  ``residual`` is taken at the couplings
-    of the state returned.  Returns ``(x, converged, iterations, residual,
-    failed, m)``, ``failed`` marking the points not settled (their other
-    fields mean nothing) and ``m`` holding each point's last system
-    matrix.
-
-    The constants of :func:`_newton_stack` are made once per stack: the
-    lockstep runs on them, and the residuals and clean solves take ``G``
-    from them.
+    as they are, each solution gated on the residual of its generator.
+    With it, Newton on the packed state runs in lockstep from the solve at
+    the bare couplings (:func:`_lockstep_newton`), and every point returns
+    the state it leaves with: its last Newton iterate where it settled,
+    its last accepted iterate where it did not.  A settled point is gated
+    on the residual of the generator at that state's own couplings
+    (``a_bare - x @ G``, with ``G`` from :func:`_newton_stack`), and one
+    that fails the gate fails.  ``residual`` is taken at the couplings of
+    the state returned.  Returns ``(x, converged, iterations, residual,
+    failed, m)``, ``failed`` marking the points without a steady state
+    (their other fields mean nothing) and ``m`` holding each point's last
+    system matrix.
     """
     n = len(a_bare)
     if not eps.any():
@@ -579,39 +569,12 @@ def _solve_axis(a_bare: np.ndarray, bare: np.ndarray, eps: np.ndarray,
                 _rho_max_abs(resid), ~(ok & _gate(resid)), m)
 
     stack, rows = _newton_stack(a_bare, bare, eps)
-    x, m, converged, iterations, stalled, failed = _lockstep_newton(
+    x, m, converged, iterations, failed = _lockstep_newton(
         a_bare, stack, rows, opts)
     g = stack[-1]  # _state_linear(eps)
-    if converged.all():
-        # every point settled: no Picard, no clean solve, no subsets
-        resid = _own_residual(a_bare, g, x)
-        return x, converged, iterations, _rho_max_abs(resid), ~_gate(resid), m
-
-    settled = converged & ~stalled
-    for k in np.flatnonzero(stalled):
-        try:
-            x[k], converged[k], iterations[k] = _picard(
-                a_bare[k:k + 1], bare, eps, opts, x[k], iterations[k])
-        except SingularSystem:
-            failed[k] = True
-
-    # a settled point returns its last Newton solve, gated at its own
-    # couplings; every other point is solved cleanly at the couplings reached
-    live = np.flatnonzero(~failed)
-    resid = _own_residual(a_bare[live], g, x[live])
-    keep = settled[live]
-    failed[live[keep & ~_gate(resid)]] = True
-    redo = live[~keep]
-    if redo.size:
-        a = a_bare[redo] - (x[redo] @ g).reshape(-1, 16, 16)
-        x_redo, m[redo], ok = _solve_stack(
-            a, bare - eps * x[redo][:, _PAIR_RE])
-        failed[redo[~(ok & _gate(_apply(a, x_redo)))]] = True
-        x[redo] = x_redo
-        resid[~keep] = _own_residual(a_bare[redo], g, x_redo)
-    residual = np.full(n, np.nan)
-    residual[live] = _rho_max_abs(resid)
-    return x, converged, iterations, residual, failed, m
+    resid = _apply(a_bare - (x @ g).reshape(a_bare.shape), x)
+    return (x, converged, iterations, _rho_max_abs(resid),
+            failed | (converged & ~_gate(resid)), m)
 
 
 def _state_couplings(bare: np.ndarray, eps: np.ndarray,
@@ -626,22 +589,6 @@ def _state_couplings(bare: np.ndarray, eps: np.ndarray,
     return bare - eps * (x.take(_PAIR_RE) + 1j * x.take(_PAIR_IM)).real
 
 
-def _solve_point(params: SystemParams, drive: Drive, delta_c: float,
-                 opts: SolveOptions
-                 ) -> tuple[np.ndarray, bool, int, float, np.ndarray]:
-    """``(x, converged, iterations, residual, rabi)`` of :func:`_solve_axis`
-    at one detuning, ``rabi`` the couplings (4,) of :func:`effective_rabi`
-    at ``x``; raises :class:`SingularSystem` where it is not settled."""
-    a_bare, bare, eps = _affine_split(params, drive, np.array([delta_c]))
-    x, converged, iterations, residual, failed, m = _solve_axis(
-        a_bare, bare, eps, opts)
-    if failed[0]:
-        raise _singular(bare, m[0])
-    x = x[0]
-    rabi = _state_couplings(bare, eps, x) if drive.ndd_enabled else bare
-    return x, bool(converged[0]), int(iterations[0]), float(residual[0]), rabi
-
-
 def solve_selfconsistent(params: SystemParams, drive: Drive,
                          opts: SolveOptions | None = None) -> SteadyResult:
     """Steady state with the local-field correction iterated to a fixed point.
@@ -649,21 +596,28 @@ def solve_selfconsistent(params: SystemParams, drive: Drive,
     The one-point case of :func:`solve_grid`, at the drive as given
     (a pinned ``epsilon`` included).  Newton's method on the packed state,
     from the solve at the bare couplings, runs until the max-abs change in
-    rho of a step drops below ``fp_tol``; each step factors one matrix, the
-    Jacobian of the flow with the trace row in place.  Where a Newton step
-    fails to make progress, the damped Picard iteration continues from the
-    last iterate.  The returned rho is the last Newton iterate, whose
-    couplings are its own, so it satisfies the self-consistent equations to
-    round-off; ``rabi_final`` is :func:`effective_rabi` at that rho, taken
-    from the packed state.  Raises :class:`SingularSystem` where the steady
-    state is not unique.
+    rho of a full step drops below ``fp_tol``; each step factors one
+    matrix, the Jacobian of the flow with the trace row in place, and a
+    step that does not lower the residual is shortened by ``damping``
+    until it does.  A converged rho is the last Newton iterate, whose
+    couplings are its own, so it satisfies the self-consistent equations
+    to round-off; an unconverged one is the last accepted iterate.
+    ``rabi_final`` is :func:`effective_rabi` at that rho, taken from the
+    packed state.  Raises :class:`SingularSystem` where the steady state
+    is not unique.
     """
     opts = opts or SolveOptions()
-    x, converged, iterations, residual, rabi = _solve_point(
-        params, drive, drive.delta_c, opts)
+    a_bare, bare, eps = _affine_split(params, drive,
+                                      np.array([drive.delta_c]))
+    x, converged, iterations, residual, failed, m = _solve_axis(
+        a_bare, bare, eps, opts)
+    if failed[0]:
+        raise _singular(bare, m[0])
+    x, converged = x[0], bool(converged[0])
+    rabi = _state_couplings(bare, eps, x) if drive.ndd_enabled else bare
     return SteadyResult(
-        rho=unpack(x), converged=converged, iterations=iterations,
-        residual=residual, rabi_final=RabiSet(*rabi.tolist()),
+        rho=unpack(x), converged=converged, iterations=int(iterations[0]),
+        residual=float(residual[0]), rabi_final=RabiSet(*rabi.tolist()),
         message="" if converged else
         f"fixed-point iteration did not converge in {opts.max_iters} steps")
 
@@ -676,26 +630,19 @@ def solve_grid(params: SystemParams, omega: float, delta_c,
     The generators of all points form one stack, solved by one batched LU
     and one refinement step; with the local-field correction on, Newton on
     the packed states runs in lockstep over the stack instead, one batched
-    LU per iterate (see :func:`_solve_axis`).  A point the stack does not
-    settle is solved again as a one-point stack, and its
-    :class:`SingularSystem` marks the point singular.  Raises
-    ``ValueError`` before any solve where ``delta_c`` is not a 1-D array of
-    finite detunings.
+    LU per iterate (see :func:`_solve_axis`).  Each point gets the bytes
+    it gets alone, and a point the stack fails is marked singular, as
+    :func:`solve_selfconsistent` raises :class:`SingularSystem` there.
+    Raises ``ValueError`` before any solve where ``delta_c`` is not a 1-D
+    array of finite detunings.
     """
     opts = opts or SolveOptions()
     delta_c = np.asarray(delta_c, dtype=float)
     if delta_c.ndim != 1 or not np.isfinite(delta_c).all():
         raise ValueError("delta_c must be a 1-D array of finite detunings")
     drive = Drive(omega=omega, ndd_enabled=ndd_enabled)
-    x, converged, iterations, residual, failed, _ = _solve_axis(
+    x, converged, iterations, residual, singular, _ = _solve_axis(
         *_affine_split(params, drive, delta_c), opts)
-    singular = np.zeros(len(x), dtype=bool)
-    for k in np.flatnonzero(failed):
-        try:
-            x[k], converged[k], iterations[k], residual[k], _ = _solve_point(
-                params, drive, delta_c[k], opts)
-        except SingularSystem:
-            singular[k] = True
     x[singular], residual[singular] = np.nan, np.nan
     converged[singular], iterations[singular] = False, 0
     return GridSolution(x=x, converged=converged, iterations=iterations,

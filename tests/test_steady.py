@@ -118,7 +118,7 @@ class TestSelfConsistent:
             hfs.SolveOptions(damping=1.5)
         with pytest.raises(ValueError):
             hfs.SolveOptions(max_iters=0)
-        # a non-integer bound would fail only in the Picard fallback, and
+        # a non-integer bound would never equal the count of passes, and
         # True would run as 1
         for max_iters in (2.5, True, "3"):
             with pytest.raises(ValueError, match="integer"):
@@ -191,7 +191,7 @@ class TestSelfConsistent:
 
 
 class TestNewton:
-    """Newton on the packed state against the damped-Picard fallback."""
+    """Newton on the packed state, its backtracked steps and its exits."""
 
     @staticmethod
     def fault(monkeypatch, change):
@@ -207,25 +207,15 @@ class TestNewton:
         monkeypatch.setattr(hfs.steady, "_newton_system", faulty)
 
     @classmethod
-    def picard_only(cls, monkeypatch):
+    def uphill(cls, monkeypatch, states=None):
         # every step after the one from x = 0, which is the solve at the
-        # bare couplings, is not finite
-        def no_step(base, x, jac):
-            jac[np.any(x != 0.0, axis=-1)] = np.nan
-        cls.fault(monkeypatch, no_step)
-
-    def test_matches_picard(self, params, monkeypatch):
-        drives = [hfs.Drive(omega=om, delta_c=dc * params.delta_u,
-                            ndd_enabled=True)
-                  for om in (0.5, 5.0, 20.0, 100.0)
-                  for dc in np.linspace(-5.0, 5.0, 9)]
-        newton = [hfs.solve_selfconsistent(params, d) for d in drives]
-        self.picard_only(monkeypatch)
-        picard = [hfs.solve_selfconsistent(params, d) for d in drives]
-        for a, b in zip(newton, picard):
-            assert a.converged and b.converged
-            assert a.iterations < b.iterations
-            assert np.max(np.abs(a.rho - b.rho)) < 1e-12
+        # bare couplings, is three times Newton's step backwards, so every
+        # trial raises the residual; ``states`` collects the states seen
+        def backwards(base, x, jac):
+            if states is not None:
+                states.append(x.copy())
+            jac[np.any(x != 0.0, axis=-1)] *= -1.0 / 3.0
+        cls.fault(monkeypatch, backwards)
 
     def test_pair_columns_as_a_slice(self):
         # the Newton matrix updates the Re(rho_ij) columns as one view
@@ -277,18 +267,6 @@ class TestNewton:
             assert np.max(np.abs(jac - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     @staticmethod
-    def count_solves(monkeypatch):
-        solve_stack, calls = hfs.steady._solve_stack, []
-
-        def counted(*args):
-            out = solve_stack(*args)
-            calls.append(out[0].copy())
-            return out
-
-        monkeypatch.setattr(hfs.steady, "_solve_stack", counted)
-        return calls
-
-    @staticmethod
     def count_factorizations(monkeypatch):
         # (matrices factored, solutions) of every call of the solver's
         # batched LAPACK solve
@@ -337,65 +315,24 @@ class TestNewton:
             assert sol.converged.all()
             assert sum(n for n, _ in steps) == np.sum(sol.iterations + 1)
 
-    def test_picard_point_gets_its_clean_solve(self, params, monkeypatch):
-        # the solve at the bare couplings comes from Newton; one solve per
-        # Picard iteration, then the clean solve
-        drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
-                          ndd_enabled=True)
-        self.picard_only(monkeypatch)
-        calls = self.count_solves(monkeypatch)
-        res = hfs.solve_selfconsistent(params, drive)
-        assert res.converged
-        assert len(calls) == res.iterations + 1
-        assert np.array_equal(pack(res.rho), calls[-1][0])
-        assert hfs.residual_norm(params, drive, res.rho) < 1e-12
-
-    def test_settled_point_failing_gate_is_solved_again(self, params,
-                                                        monkeypatch):
-        # the middle point's Newton matrices after the step from x = 0 are
-        # scaled up 1e12 in the lockstep: its first step is too short to
-        # move it, so Newton settles it at the solve at the bare couplings,
-        # which fails the gate at its own couplings.  It is solved again on
-        # its own, not flagged singular
-        from hfs.steady import _affine_split
-        grid = np.linspace(-0.5, 0.5, 5) * params.delta_u
-        ref = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
-        target = _affine_split(params, hfs.Drive(omega=5.0, ndd_enabled=True),
-                               grid[2:3])[0][0]
-        solve_point, retried = hfs.steady._solve_point, []
-
-        def stiff(base, x, jac):
-            if not retried:
-                jac[np.all(base == target, axis=(1, 2))
-                    & np.any(x != 0.0, axis=-1)] *= 1e12
-
-        def counted(params, drive, delta_c, opts):
-            retried.append(delta_c)
-            return solve_point(params, drive, delta_c, opts)
-
-        self.fault(monkeypatch, stiff)
-        monkeypatch.setattr(hfs.steady, "_solve_point", counted)
-        sol = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
-        assert retried == [grid[2]]
-        assert not sol.singular.any() and sol.converged.all()
-        assert np.array_equal(sol.iterations, ref.iterations)
-        assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
-        assert np.all(sol.residual < 1e-12)
-
     @pytest.mark.parametrize("fault", ["raise", "nan", "uphill"])
     def test_fallback_after_failed_step(self, params, monkeypatch, fault):
         # the first Newton step is sound; the second is singular, not
-        # finite, or three times Newton's step backwards (its residual
-        # grows, which the next pass sees), and Picard continues from the
-        # last iterate to the same fixed point
+        # finite, or three times Newton's step backwards.  A singular or
+        # non-finite step rejects its trial at once, which is tried again
+        # at half the step before it, and Newton goes on from there to the
+        # same fixed point.  The backward step's trial raises the residual
+        # a pass later, and so does every shortening of that step, until
+        # it falls below fp_tol and the point stops at the iterate the
+        # step was taken from
         drive = hfs.Drive(omega=20.0, delta_c=-0.4 * params.delta_u,
                           ndd_enabled=True)
         ref = hfs.solve_selfconsistent(params, drive)
-        calls = []
+        states = []
 
         def faulty(base, x, jac):
-            calls.append(fault)
-            if len(calls) == 3:
+            states.append(x[0].copy())
+            if len(states) == 3:
                 if fault == "raise":
                     jac[:] = 0.0
                 elif fault == "nan":
@@ -404,20 +341,64 @@ class TestNewton:
                     jac *= -1.0 / 3.0
 
         self.fault(monkeypatch, faulty)
+        steps = self.count_factorizations(monkeypatch)
         res = hfs.solve_selfconsistent(params, drive)
-        assert len(calls) == (4 if fault == "uphill" else 3)
+        if fault == "uphill":
+            assert not res.converged
+            assert res.iterations == len(states) - 1 < 60
+            assert np.array_equal(pack(res.rho), states[2])
+            trial = steps[2][1][0]
+            for x in states[3:]:
+                assert np.array_equal(x, states[2] - trial)
+                trial = 0.5 * trial
+            return
         assert res.converged
         assert res.iterations > ref.iterations
         assert np.max(np.abs(res.rho - ref.rho)) < 1e-12
+        # the last accepted iterate, and the step taken from it
+        assert np.array_equal(states[3], states[1] - 0.5 * steps[1][1][0])
 
-    def test_max_iters_bounds_fallback(self, params, monkeypatch):
+    @pytest.mark.parametrize("damping", [0.5, 1.0])
+    def test_damping_shortens_rejected_steps(self, params, monkeypatch,
+                                             damping):
+        # every trial after the solve at the bare couplings raises the
+        # residual, so each is tried again from that solve at damping
+        # times its step.  At 0.5 the step falls below fp_tol, at 1.0 the
+        # same trial repeats until max_iters; the solve ends unconverged
+        # at its last accepted iterate, the bare solve, and raises nothing
         drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
                           ndd_enabled=True)
-        self.picard_only(monkeypatch)
+        opts = hfs.SolveOptions(max_iters=100, damping=damping)
+        states = []
+        self.uphill(monkeypatch, states)
+        steps = self.count_factorizations(monkeypatch)
+        res = hfs.solve_selfconsistent(params, drive, opts)
+        assert not res.converged and res.message
+        # every pass after the one from x = 0 counts
+        assert res.iterations == len(states) - 1
+        if damping == 1.0:
+            assert res.iterations == opts.max_iters
+        else:
+            assert res.iterations < opts.max_iters
+        bare_solve = states[1][0]
+        assert np.array_equal(pack(res.rho), bare_solve)
+        trial = steps[1][1][0]
+        for x in states[2:]:
+            assert np.array_equal(x[0], bare_solve - trial)
+            trial = damping * trial
+        assert np.max(np.abs(trial)) < opts.fp_tol or damping == 1.0
+
+    def test_max_iters_bounds_fallback(self, params, monkeypatch):
+        # every pass counts toward max_iters, a retried trial too
+        drive = hfs.Drive(omega=5.0, delta_c=0.2 * params.delta_u,
+                          ndd_enabled=True)
+        states = []
+        self.uphill(monkeypatch, states)
         res = hfs.solve_selfconsistent(params, drive,
                                        hfs.SolveOptions(max_iters=3))
         assert not res.converged
-        assert res.iterations == 3
+        assert res.iterations == 3 and len(states) == 4
+        assert np.array_equal(pack(res.rho), states[1][0])
 
 
 #: decay rates and dipole multipliers that link each level to the others
@@ -461,7 +442,7 @@ def generator_build_stack(p, grid):
 
 
 class TestGrid:
-    """The stacked solver against independent oracles, and its fallbacks
+    """The stacked solver against independent oracles, and its exits
     against its own undisturbed stack."""
 
     @pytest.mark.parametrize("ndd", [False, True])
@@ -578,48 +559,38 @@ class TestGrid:
                     - generator_build_stack(p, grid))
             assert np.max(np.abs(diff)) <= 4 * np.spacing(scale)
 
-    def test_nonfinite_step_falls_back_to_picard(self, params, monkeypatch):
-        # the first point's first Newton step is not finite: that point
-        # alone leaves the lockstep, and Picard takes it from its last
-        # iterate to the same fixed point
-        from hfs.steady import _affine_split
+    def test_nonfinite_step_is_backtracked(self, params, monkeypatch):
+        # the first point's second Newton step after the solve at the bare
+        # couplings is not finite: that trial alone is tried again closer
+        # to the last accepted iterate, and Newton takes the point from
+        # there to the same fixed point; the other points keep their bytes
         grid = np.linspace(-0.5, 0.5, 7) * params.delta_u
         ref = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
-        picard, faulted, continued = hfs.steady._picard, [], []
+        moved = []
 
         def faulty(base, x, jac):
             # the step from x = 0 is the solve at the bare couplings
-            if x.any() and not faulted:
-                faulted.append(len(x))
-                jac[0] = np.nan
-
-        def counted(base, bare, eps, opts, x, iterations):
-            continued.append((base, iterations))
-            return picard(base, bare, eps, opts, x, iterations)
-
-        def no_retry(*args):
-            raise AssertionError("a point was solved again on its own")
+            if x.any():
+                moved.append(len(x))
+                if len(moved) == 2:
+                    jac[0] = np.nan
 
         TestNewton.fault(monkeypatch, faulty)
-        monkeypatch.setattr(hfs.steady, "_picard", counted)
-        monkeypatch.setattr(hfs.steady, "_solve_point", no_retry)
         sol = hfs.solve_grid(params, 5.0, grid, ndd_enabled=True)
-        assert faulted == [len(grid)]
-        [(base, iterations)] = continued
-        assert iterations == 0
-        assert np.array_equal(base, _affine_split(
-            params, hfs.Drive(omega=5.0, ndd_enabled=True), grid[:1])[0])
+        assert moved[:2] == [len(grid)] * 2
         assert sol.converged.all() and not sol.singular.any()
         assert sol.iterations[0] > ref.iterations[0]
         assert np.array_equal(sol.iterations[1:], ref.iterations[1:])
+        assert sol.x[1:].tobytes() == ref.x[1:].tobytes()
         assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
 
     @pytest.mark.parametrize("ndd", [False, True])
-    def test_failed_gate_falls_back_to_pointwise(self, params, monkeypatch,
-                                                 ndd):
+    def test_failed_gate_marks_its_point_singular(self, params, monkeypatch,
+                                                  ndd):
         # the stacked system of the middle point is corrupted, so its
-        # batched solution fails the residual gate of the true generator
-        # and that point is solved again as a one-point stack
+        # solution (with the correction on, the fixed point Newton settles
+        # at) fails the residual gate of the true generator: that point is
+        # marked singular, and the others keep their bytes
         grid = np.linspace(-0.5, 0.5, 5) * params.delta_u
         ref = hfs.solve_grid(params, 5.0, grid, ndd)
         system_rows = hfs.steady._system_rows
@@ -632,51 +603,58 @@ class TestGrid:
 
         monkeypatch.setattr(hfs.steady, "_system_rows", corrupted)
         sol = hfs.solve_grid(params, 5.0, grid, ndd)
-        assert not sol.singular.any()
-        assert np.array_equal(sol.iterations, ref.iterations)
-        assert np.max(np.abs(sol.x - ref.x)) <= 1e-12
+        assert np.flatnonzero(sol.singular).tolist() == [2]
+        assert np.isnan(sol.x[2]).all() and np.isnan(sol.residual[2])
+        others = [0, 1, 3, 4]
+        for name in ("x", "converged", "iterations", "residual"):
+            assert (getattr(sol, name)[others].tobytes()
+                    == getattr(ref, name)[others].tobytes())
 
     def test_points_leaving_at_different_iterates_match_alone(
             self, monkeypatch):
         # one stack whose points leave the lockstep at different iterates by
-        # every exit: settled after 4 and 5 iterations, out of iterations,
-        # stalled at the first and the second iterate and continued by
-        # Picard, and failed at the second Newton step (its couplings
+        # every exit: settled after 6 full steps, settled after 17 passes
+        # with backtracked ones among them, out of iterations, stopped when
+        # a backtracked step fell below fp_tol (its Newton matrices scaled
+        # by -1e5, so that every step is a tiny one backwards), stopped at
+        # the solve at the bare couplings (its Newton step there not
+        # finite), and failed at the second Newton step (its couplings
         # forced to zero).  Each point's fields equal those of the point
         # solved alone, bit for bit
+        from hfs.config import parse_config
         from hfs.steady import _affine_split, _lockstep_newton, _newton_stack
-        p = hfs.sodium_d1()
-        p = p.replace(number_density=300.0 * p.number_density)
-        grid = (np.linspace(-3.0, 3.0, 121)[[0, 40, 46, 50, 62, 90]]
-                * p.delta_u)
+        p = parse_config(CONFIG.read_text()).system_params()
+        p = p.replace(number_density=1.5e22)
+        grid = np.array([0.0, 0.02, 0.025, 0.1, 0.11, 0.12]) * p.delta_u
         drive = hfs.Drive(omega=100.0, ndd_enabled=True)
-        opts = hfs.SolveOptions(max_iters=5)
+        opts = hfs.SolveOptions(max_iters=20)
         base, bare, eps = _affine_split(p, drive, grid)
-        newton_system, doomed, passes = (hfs.steady._newton_system, base[5],
-                                         [])
+        newton_system, passes = hfs.steady._newton_system, []
 
-        def failing(base, bare, eps, x):
-            out = newton_system(base, bare, eps, x)
-            hit = np.all(base == doomed, axis=(1, 2))
-            if hit.any():
+        def faulty(stack, bare, eps, x):
+            out = newton_system(stack, bare, eps, x)
+            moved = np.any(x != 0.0, axis=-1)
+            out[3][moved & np.all(stack == base[3], axis=(1, 2))] *= -1e5
+            out[3][moved & np.all(stack == base[4], axis=(1, 2))] = np.nan
+            doomed = np.all(stack == base[5], axis=(1, 2))
+            if doomed.any():
                 passes.append(1)
                 if len(passes) >= 3:
-                    out[0][hit] = 0.0
+                    out[0][doomed] = 0.0
             return out
 
-        monkeypatch.setattr(hfs.steady, "_newton_system", failing)
+        monkeypatch.setattr(hfs.steady, "_newton_system", faulty)
         stack = _lockstep_newton(base, *_newton_stack(base, bare, eps), opts)
-        _, _, converged, iterations, stalled, failed = stack
-        assert iterations.tolist() == [4, 5, 5, 1, 2, 1]
-        assert converged.tolist() == [True, True, False, False, False, False]
-        assert np.flatnonzero(stalled).tolist() == [3, 4]
+        _, _, converged, iterations, failed = stack
+        assert iterations.tolist() == [6, 17, 20, 18, 0, 1]
+        assert converged.tolist() == [True, True] + [False] * 4
         assert np.flatnonzero(failed).tolist() == [5]
         for k in range(len(grid)):
             passes.clear()
             alone = _lockstep_newton(
                 base[k:k + 1], *_newton_stack(base[k:k + 1], bare, eps), opts)
             for got, ref in zip(stack, alone):
-                assert np.array_equal(got[k], ref[0])
+                assert got[k:k + 1].tobytes() == ref.tobytes()
 
         passes.clear()
         sol = hfs.solve_grid(p, drive.omega, grid, True, opts)
@@ -693,24 +671,45 @@ class TestGrid:
             assert sol.converged[k] == ref.converged
             assert sol.iterations[k] == ref.iterations
             assert sol.residual[k] == ref.residual
-        assert sol.converged.tolist()[:3] == [True, True, False]
-        assert sol.iterations.tolist() == [4, 5, 5, 5, 5, 0]
+        assert sol.converged.tolist() == [True, True] + [False] * 4
+        assert sol.iterations.tolist() == [6, 17, 20, 18, 0, 0]
+        # the points that stop unconverged hold an accepted iterate: the
+        # one stopped at the bare solve holds that solve
+        point = drive.replace(delta_c=grid[4])
+        want = hfs.solve_linear_steady(p, point, bare_rabi(p, point))
+        assert np.max(np.abs(sol.x[4] - pack(want))) <= 1e-12
+
+    def test_high_density_picard_rows_converge(self):
+        # at 100x the paper's density, the 13 rows on which Newton's full
+        # step stalled and the damped-Picard fallback spent max_iters
+        # without settling (all but 0.05 delta_u) settle by backtracked
+        # Newton steps, each at its own couplings to round-off
+        from hfs.config import parse_config
+        p = parse_config(CONFIG.read_text()).system_params()
+        p = p.replace(number_density=1.5e22)
+        grid = np.linspace(0.010, 0.070, 13) * p.delta_u
+        sol = hfs.solve_grid(p, 100.0, grid, ndd_enabled=True)
+        assert sol.converged.all() and not sol.singular.any()
+        assert sol.iterations.max() < 40
+        for k, dc in enumerate(grid):
+            drive = hfs.Drive(omega=100.0, delta_c=dc, ndd_enabled=True)
+            assert hfs.residual_norm(p, drive, unpack(sol.x[k])) <= 1e-8
 
     def test_high_density_rows_pass_the_gate(self):
-        # at 100x the paper's density (local-field strength ~39 gamma)
-        # Newton settles some rows and stalls on others, which the Picard
-        # fallback takes over; nothing raises, and every converged row
-        # satisfies the equations at its own couplings
+        # at 100x the paper's density (local-field strength ~39 gamma) a
+        # full Newton step fails to lower the residual on some rows, which
+        # backtracked steps then settle; nothing raises, every row
+        # converges, and every row satisfies the equations at its own
+        # couplings
         from hfs.config import parse_config
         p = parse_config(CONFIG.read_text()).system_params()
         p = p.replace(number_density=1.5e22)
         grid = np.linspace(0.0, 0.12, 9) * p.delta_u
         sol = hfs.solve_grid(p, 100.0, grid, ndd_enabled=True)
-        assert not sol.singular.any() and sol.converged.sum() >= 4
+        assert not sol.singular.any() and sol.converged.all()
         for k, dc in enumerate(grid):
-            if sol.converged[k]:
-                drive = hfs.Drive(omega=100.0, delta_c=dc, ndd_enabled=True)
-                assert hfs.residual_norm(p, drive, unpack(sol.x[k])) <= 1e-8
+            drive = hfs.Drive(omega=100.0, delta_c=dc, ndd_enabled=True)
+            assert hfs.residual_norm(p, drive, unpack(sol.x[k])) <= 1e-8
 
     def test_system_rows_match_where_build(self):
         # pinned and unpinned points in one stack, against the masked build
@@ -1211,31 +1210,100 @@ def assert_same_solves(params, omega, grid, opts):
     sol = hfs.solve_grid(params, omega, grid, True, opts)
     assert_same_bytes(sol, ref_solve_grid(params, omega, grid, opts))
     for dc in grid:
-        drive = hfs.Drive(omega=omega, delta_c=float(dc), ndd_enabled=True)
-        try:
-            ref = ref_solve_selfconsistent(params, drive, opts)
-        except hfs.SingularSystem as exc:
-            with pytest.raises(hfs.SingularSystem) as got:
-                hfs.solve_selfconsistent(params, drive, opts)
-            assert str(got.value) == str(exc)
-            continue
-        assert_same_bytes(hfs.solve_selfconsistent(params, drive, opts), ref)
+        assert_same_point(params, hfs.Drive(omega=omega, delta_c=float(dc),
+                                            ndd_enabled=True), opts)
     return sol
 
 
+def newton_alone(params, omega, grid, opts):
+    """The points on which the reference lockstep never stalled, and of
+    those the ones it settled or failed, where the reference returned its
+    own Newton iterate or none.  Each point is run alone, as the reference
+    solved again alone every point its stack failed (a singular matrix
+    failed the whole stack there)."""
+    base, bare, eps = ref_affine_split(
+        params, hfs.Drive(omega=omega, ndd_enabled=True), grid)
+    alone = [ref_lockstep_newton(base[k:k + 1], bare, eps, opts)
+             for k in range(len(grid))]
+    settled, stalled, failed = (np.array([out[i][0] for out in alone])
+                                for i in (2, 4, 5))
+    return ~stalled, ~stalled & (settled | failed)
+
+
+def grid_row(sol, k):
+    """Row ``k`` of a GridSolution as a one-point GridSolution."""
+    from dataclasses import fields
+    return hfs.steady.GridSolution(**{
+        f.name: getattr(sol, f.name)[k:k + 1] for f in fields(sol)})
+
+
+def assert_matches_reference(params, omega, grid, opts):
+    """solve_grid and solve_selfconsistent against the reference, bytes
+    and errors alike, at the points where its Newton lockstep alone
+    settled or failed.  Elsewhere the reference continued by Picard or
+    solved again at the couplings reached, and a point must equal itself
+    solved alone, bit for bit, pass the residual gate at its own couplings
+    where it converged, and lie within 1e-9 of the reference where both
+    converged.  Returns the grid solution and the reference's."""
+    sol = hfs.solve_grid(params, omega, grid, True, opts)
+    ref = ref_solve_grid(params, omega, grid, opts)
+    _, same = newton_alone(params, omega, grid, opts)
+    for k, dc in enumerate(grid):
+        drive = hfs.Drive(omega=omega, delta_c=float(dc), ndd_enabled=True)
+        if same[k]:
+            assert_same_bytes(grid_row(sol, k), grid_row(ref, k))
+            assert_same_point(params, drive, opts)
+            continue
+        alone = hfs.solve_grid(params, omega, grid[k:k + 1], True, opts)
+        assert_same_bytes(grid_row(sol, k), alone)
+        assert not sol.singular[k]
+        res = hfs.solve_selfconsistent(params, drive, opts)
+        assert np.array_equal(pack(res.rho), sol.x[k])
+        assert (res.converged, res.iterations, res.residual) == (
+            sol.converged[k], sol.iterations[k], sol.residual[k])
+        if sol.converged[k]:
+            assert hfs.residual_norm(params, drive, res.rho) <= 1e-8
+        if sol.converged[k] and ref.converged[k]:
+            assert np.max(np.abs(sol.x[k] - ref.x[k])) <= 1e-9
+    return sol, ref
+
+
+def assert_same_point(params, drive, opts):
+    """solve_selfconsistent against the reference at one drive, bytes and
+    errors alike."""
+    try:
+        ref = ref_solve_selfconsistent(params, drive, opts)
+    except hfs.SingularSystem as exc:
+        with pytest.raises(hfs.SingularSystem) as got:
+            hfs.solve_selfconsistent(params, drive, opts)
+        assert str(got.value) == str(exc)
+        return
+    assert_same_bytes(hfs.solve_selfconsistent(params, drive, opts), ref)
+
+
 def assert_same_lockstep(params, omega, grid, opts):
-    """The lockstep's 6-tuple on the whole stack and on each one-point
-    stack, against the reference lockstep on the pre-change split."""
+    """The lockstep on the whole stack against each one-point stack, all
+    fields bit for bit, and against the reference lockstep on the
+    pre-change split wherever that never stalled: the state where it
+    settled or failed (where it ran out of iterations it returned its
+    unchecked last step, the lockstep its last accepted iterate), and
+    every other field."""
     from hfs.steady import _affine_split, _lockstep_newton, _newton_stack
     drive = hfs.Drive(omega=omega, ndd_enabled=True)
     a_bare, bare, eps = _affine_split(params, drive, grid)
     base = ref_affine_split(params, drive, grid)[0]
-    for k in [slice(None)] + [slice(k, k + 1) for k in range(len(base))]:
-        got = _lockstep_newton(
-            a_bare[k], *_newton_stack(a_bare[k], bare, eps), opts)
-        ref = ref_lockstep_newton(base[k], bare, eps, opts)
-        for a, b in zip(got, ref):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    got = _lockstep_newton(a_bare, *_newton_stack(a_bare, bare, eps), opts)
+    x, m, converged, iterations, _, failed = ref_lockstep_newton(
+        base, bare, eps, opts)
+    newton, same = newton_alone(params, omega, grid, opts)
+    assert got[0][same].tobytes() == x[same].tobytes()
+    for a, b in zip(got[1:], (m, converged, iterations, failed)):
+        assert a.dtype == b.dtype and a[newton].tobytes() == b[newton].tobytes()
+    for k in range(len(grid)):
+        alone = _lockstep_newton(
+            a_bare[k:k + 1], *_newton_stack(a_bare[k:k + 1], bare, eps), opts)
+        for a, b in zip(got, alone):
+            assert a.dtype == b.dtype and a[k:k + 1].tobytes() == b.tobytes()
 
 
 class TestMatchesPreChangeSolve:
@@ -1261,9 +1329,12 @@ class TestMatchesPreChangeSolve:
             assert_same_lockstep(p, omega, grid, hfs.SolveOptions())
 
     @pytest.mark.parametrize("density", ["100x", "300x"])
-    def test_high_density_stalls_to_picard(self, density, monkeypatch):
-        # Newton stalls on some points, which Picard continues, some of them
-        # up to max_iters
+    def test_high_density_stalls_to_picard(self, density):
+        # the reference's Newton stalls on some points, which Picard
+        # continued, some of them up to max_iters; backtracked Newton
+        # steps continue them here, and settle every point Picard settled
+        # and the ones it left unsettled (at 300x and max_iters 500, one
+        # settles in 7 iterations where Picard took 68)
         if density == "100x":
             from hfs.config import parse_config
             p = parse_config(CONFIG.read_text()).system_params()
@@ -1274,19 +1345,15 @@ class TestMatchesPreChangeSolve:
             p = p.replace(number_density=300.0 * p.number_density)
             grid = (np.linspace(-3.0, 3.0, 121)[[0, 40, 46, 50, 62, 90]]
                     * p.delta_u)
-        picard, continued = hfs.steady._picard, []
-
-        def counted(*args):
-            continued.append(args[-1])
-            return picard(*args)
-
-        monkeypatch.setattr(hfs.steady, "_picard", counted)
-        for max_iters in (1, 5, 40):
+        stalled = 0
+        for max_iters in (1, 5, 40, 500):
             opts = hfs.SolveOptions(max_iters=max_iters)
-            sol = assert_same_solves(p, 100.0, grid, opts)
-            assert not sol.converged.all()
+            sol, ref = assert_matches_reference(p, 100.0, grid, opts)
+            assert not ref.converged.all()
+            assert sol.converged[ref.converged].all()
+            stalled += np.sum(~newton_alone(p, 100.0, grid, opts)[0])
             assert_same_lockstep(p, 100.0, grid, opts)
-        assert continued
+        assert stalled
 
     @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5])
     def test_max_iters_caps(self, max_iters):
@@ -1294,7 +1361,7 @@ class TestMatchesPreChangeSolve:
         grid = np.linspace(-1.0, 1.0, 5) * p.delta_u
         opts = hfs.SolveOptions(max_iters=max_iters)
         for omega in (0.5, 5.0, 100.0):
-            assert_same_solves(p, omega, grid, opts)
+            assert_matches_reference(p, omega, grid, opts)
             assert_same_lockstep(p, omega, grid, opts)
 
     def test_pinned_epsilon(self):
@@ -1332,7 +1399,8 @@ class TestMatchesPreChangeSolve:
     def test_faulted_newton_steps(self, monkeypatch, fault, max_iters):
         # every Newton step after the solve at the bare couplings is not
         # finite, or three times Newton's step backwards: every point stops
-        # in the same pass, and Picard takes over
+        # unconverged at that solve, its last accepted iterate, where the
+        # reference's Picard took over
         def faulty(newton_system):
             def system(base, bare, eps, x):
                 out = newton_system(base, bare, eps, x)
@@ -1351,8 +1419,13 @@ class TestMatchesPreChangeSolve:
         p = hfs.sodium_d1()
         grid = np.linspace(-1.0, 1.0, 3) * p.delta_u
         opts = hfs.SolveOptions(max_iters=max_iters)
-        sol = assert_same_solves(p, 5.0, grid, opts)
-        assert sol.converged.all() == (max_iters == 500)
+        sol, ref = assert_matches_reference(p, 5.0, grid, opts)
+        assert not sol.converged.any()
+        assert ref.converged.all() == (max_iters == 500)
+        for k, dc in enumerate(grid):
+            drive = hfs.Drive(omega=5.0, delta_c=dc)
+            want = hfs.solve_linear_steady(p, drive, bare_rabi(p, drive))
+            assert np.max(np.abs(sol.x[k] - pack(want))) <= 1e-12
         assert_same_lockstep(p, 5.0, grid, opts)
 
     def test_random_drives_one_point(self):
@@ -1442,15 +1515,14 @@ class TestBatchedSolve:
                                                        when):
         # one point's Newton matrix is singular, at the solve at the bare
         # couplings (the point fails, and alone it is singular) or at its
-        # iterates (it stalls, and Picard continues it in the stack): the
-        # other points settle in the stack with the bytes they have alone,
-        # and no point but a failed one is solved again on its own
+        # iterates (it stops at once, unconverged, at the solve at the bare
+        # couplings): the other points settle in the stack with the bytes
+        # they have alone
         from hfs.steady import _affine_split
         p = hfs.sodium_d1()
         grid = np.linspace(-1.0, 1.0, 7) * p.delta_u
         drive = hfs.Drive(omega=5.0, ndd_enabled=True)
         target = _affine_split(p, drive, grid[2:3])[0][0]
-        unfaulted = hfs.solve_grid(p, 5.0, grid[2:3], True).iterations[0]
 
         def faulty(newton_system):
             def system(base, bare, eps, x):
@@ -1462,61 +1534,49 @@ class TestBatchedSolve:
                 return out
             return system
 
-        solve_point, alone = hfs.steady._solve_point, []
-
-        def counted(params, drive, delta_c, opts):
-            alone.append(delta_c)
-            return solve_point(params, drive, delta_c, opts)
-
         monkeypatch.setattr(hfs.steady, "_newton_system",
                             faulty(hfs.steady._newton_system))
         monkeypatch.setitem(globals(), "ref_newton_system",
                             faulty(ref_newton_system))
-        monkeypatch.setattr(hfs.steady, "_solve_point", counted)
         opts = hfs.SolveOptions()
-        sol = assert_same_solves(p, 5.0, grid, opts)
-        # solve_grid's re-solves, then solve_selfconsistent at every point
-        assert alone == ([grid[2]] if when == "bare" else []) + list(grid)
+        sol, _ = assert_matches_reference(p, 5.0, grid, opts)
         assert sol.singular.tolist() == [when == "bare" if k == 2 else False
                                          for k in range(len(grid))]
-        if when == "iterate":  # Picard took more iterations than Newton
-            assert sol.converged[2] and sol.iterations[2] > unfaulted
-        for k in np.delete(np.arange(len(grid)), 2):
+        others = np.delete(np.arange(len(grid)), 2)
+        assert sol.converged[others].all()
+        if when == "iterate":
+            point = drive.replace(delta_c=grid[2])
+            want = hfs.solve_linear_steady(p, point, bare_rabi(p, point))
+            assert not sol.converged[2] and sol.iterations[2] == 0
+            assert np.max(np.abs(sol.x[2] - pack(want))) <= 1e-12
+        for k in others:
             one = hfs.solve_grid(p, 5.0, grid[k:k + 1], True, opts)
-            for name in ("x", "converged", "iterations", "residual"):
-                assert (getattr(sol, name)[k:k + 1].tobytes()
-                        == getattr(one, name).tobytes())
+            assert_same_bytes(grid_row(sol, k), one)
 
     def test_singular_system_in_a_regular_stack(self, monkeypatch):
         # NDD off: one point's system matrix is singular; it alone is
-        # solved again, and found singular, and the other points keep the
-        # bytes they have alone
+        # marked singular, and the other points keep the bytes they have
+        # alone
         from hfs.steady import _affine_split
         p = hfs.sodium_d1()
         grid = np.linspace(-1.0, 1.0, 7) * p.delta_u
         target = _affine_split(p, hfs.Drive(omega=5.0), grid[2:3])[0][0]
-        system_rows, solve_point = (hfs.steady._system_rows,
-                                    hfs.steady._solve_point)
-        alone = []
+        system_rows = hfs.steady._system_rows
 
         def zeroed(a):
             m, kept = system_rows(a)
             m[detuning_entries(a, target)] = 0.0
             return m, kept
 
-        def counted(params, drive, delta_c, opts):
-            alone.append(delta_c)
-            return solve_point(params, drive, delta_c, opts)
-
         monkeypatch.setattr(hfs.steady, "_system_rows", zeroed)
-        monkeypatch.setattr(hfs.steady, "_solve_point", counted)
         sol = hfs.solve_grid(p, 5.0, grid)
-        assert alone == [grid[2]]
         assert np.flatnonzero(sol.singular).tolist() == [2]
+        with pytest.raises(hfs.SingularSystem):
+            hfs.solve_selfconsistent(p, hfs.Drive(omega=5.0,
+                                                  delta_c=grid[2]))
         for k in np.delete(np.arange(len(grid)), 2):
             one = hfs.solve_grid(p, 5.0, grid[k:k + 1])
-            assert sol.x[k].tobytes() == one.x[0].tobytes()
-            assert sol.residual[k] == one.residual[0]
+            assert_same_bytes(grid_row(sol, k), one)
 
 
 # -- the generators are affine in the packed state --------------------------
