@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from . import identities, sweep as sweep_mod
+from . import identities, optics, sweep as sweep_mod
 from .config import ConfigDocument, ConfigError, parse_config
 from .model import STATE_COLUMNS, ground_state, pack
 from .steady import SingularSystem, solve_selfconsistent
@@ -89,8 +89,7 @@ def _print_state(rho, result) -> None:
           f"residual: {result.residual:.3e}")
     for i in range(4):
         print(f"rho{i + 1}{i + 1} = {rho[i, i].real:.12g}")
-    wg = rho[1, 1].real - rho[0, 0].real
-    we = rho[3, 3].real - rho[2, 2].real
+    wg, we = optics.population_transfer(rho)
     print(f"w_g = {wg:.12g}")
     print(f"w_e = {we:.12g}")
 
@@ -100,8 +99,8 @@ def _state_json(rho, result) -> dict:
            "iterations": int(result.iterations),
            "residual": float(result.residual)}
     out.update(zip(STATE_COLUMNS, pack(rho).tolist()))
-    out["w_g"] = float(rho[1, 1].real - rho[0, 0].real)
-    out["w_e"] = float(rho[3, 3].real - rho[2, 2].real)
+    wg, we = optics.population_transfer(rho)
+    out["w_g"], out["w_e"] = float(wg), float(we)
     return out
 
 

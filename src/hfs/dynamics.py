@@ -28,8 +28,7 @@ doubling length with matrix exponentials of the generator frozen at the
 chunk's couplings (exact for the linear problem, and sharing its fixed points
 with the full nonlinear flow when the local-field correction is on).  With a
 fixed generator each chunk's propagator is the square of the previous one,
-so one exponential serves every chunk.  A chunked Runge-Kutta route,
-integrated by DOP853 whatever the generator, is available too.
+so one exponential serves every chunk.
 
 The exact route of ``evolve`` calls ``scipy.linalg.expm`` (the
 scaling-and-squaring Pade algorithm of Al-Mohy and Higham, SIAM J. Matrix
@@ -66,9 +65,9 @@ release the bit-for-bit tests were run against.
 
 Importing this module loads ``scipy.linalg``.  ``scipy.integrate`` is
 loaded on the first ``evolve`` call that integrates: ``evolve`` with the
-local-field correction on or an explicit ``method``, and
-``relax_to_steady(method="rk")``.  The default relaxation and ``evolve`` or
-``hfs evolve`` with a fixed generator do not load it.
+local-field correction on or an explicit ``method``.  Relaxation never
+calls ``evolve``, and ``evolve`` or ``hfs evolve`` with a fixed generator
+do not load it.
 """
 
 from __future__ import annotations
@@ -286,24 +285,23 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def relax_to_steady(params: SystemParams, drive: Drive,
                     rho0: np.ndarray | None = None,
-                    residual_tol: float = 1e-9, t_max: float = 1e4,
-                    method: str = "expm") -> SteadyResult:
+                    residual_tol: float = 1e-9,
+                    t_max: float = 1e4) -> SteadyResult:
     """Drive the state to the steady point by long-time propagation.
 
     Time chunks of length 1, 2, 4, ... (the last one cut at ``t_max``) are
     propagated until the residual of the equations of motion, the max-abs
     element of drho/dt at the state's own couplings, drops below
-    ``residual_tol``.  ``method="expm"`` propagates each chunk with the
-    matrix exponential of the generator frozen at the chunk's couplings,
-    refreshed from the state between chunks; with a fixed generator (the
-    local-field correction off, or every ``eps`` zero) the propagator of a
-    doubled chunk is the square of the previous one.  Each exponential is
+    ``residual_tol``.  Each chunk is propagated with the matrix exponential
+    of the generator frozen at the chunk's couplings, refreshed from the
+    state between chunks; with a fixed generator (the local-field
+    correction off, or every ``eps`` zero) the propagator of a doubled
+    chunk is the square of the previous one.  Each exponential is
     :func:`_expm`: the matrix ``scipy.linalg.expm`` returns, from its Pade
     kernels without its per-call checks; an NDD-on relaxation takes one per
-    chunk.  ``method="rk"`` integrates the same chunks with :func:`evolve`
-    by DOP853, also where the generator is fixed.  Non-convergence within
-    ``t_max`` is reported via the flag, never raised.  A given ``rho0`` is
-    checked as in :func:`evolve`; the default is the ground state.
+    chunk.  Non-convergence within ``t_max`` is reported via the flag,
+    never raised.  A given ``rho0`` is checked as in :func:`evolve`; the
+    default is the ground state.
 
     The propagation slowly loses unit trace, and the residual cannot see
     it: ``c`` times a fixed point is a fixed point of the linear flow.  So
@@ -322,8 +320,6 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     from its fixed point.  Cross-checks on near-dark parameter sets should
     pass a tighter tolerance.
     """
-    if method not in ("expm", "rk"):
-        raise ValueError(f"unknown relaxation method: {method!r}")
     if not 0.0 < residual_tol < np.inf:
         raise ValueError("residual_tol must be positive and finite")
     if not 0.0 < t_max < np.inf:
@@ -365,17 +361,13 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     prop, spare = None, work[2]
     while t < t_max:
         dt = min(chunk, t_max - t)
-        if method == "rk":
-            x = pack(evolve(params, drive, unpack(x), dt,
-                             method="DOP853").final)
+        if fixed and prop is not None and dt == chunk:
+            # twice the last chunk: expm(2 A s) = expm(A s)^2, into the
+            # spare slot, which the last propagator becomes
+            prop, spare = np.dot(prop, prop, out=spare), prop
         else:
-            if fixed and prop is not None and dt == chunk:
-                # twice the last chunk: expm(2 A s) = expm(A s)^2, into
-                # the spare slot, which the last propagator becomes
-                prop, spare = np.dot(prop, prop, out=spare), prop
-            else:
-                prop = _expm(np.multiply(a, dt, out=work[0]), work)
-            x = np.dot(prop, x)
+            prop = _expm(np.multiply(a, dt, out=work[0]), work)
+        x = np.dot(prop, x)
         t += dt
         chunk *= 2.0
         iterations += 1

@@ -87,13 +87,14 @@ def check_mirror_relations(table: SpectrumTable, omega: float,
 
 
 def check_raman_steady(params: SystemParams, drive: Drive, rho: np.ndarray,
-                       tol: float = 1e-9,
-                       normalize: bool = False) -> IdentityReport:
+                       tol: float = 1e-9) -> IdentityReport:
     """Steady-state relations for the two Raman coherences at one point.
 
-    With the local-field correction off these are two of the solved rows and
-    the residual sits at round-off; with it on, the residual measures the
-    size of the correction and is reported, not failed.
+    The two residuals are absolute, in units of gamma, as in
+    :func:`check_raman_steady_table`.  With the local-field correction off
+    these are two of the solved rows and the residual sits at round-off;
+    with it on, the residual measures the size of the correction and is
+    reported, not failed.
     """
     gs = gamma_set(params, drive.delta(params))
     om = drive.omega
@@ -103,9 +104,7 @@ def check_raman_steady(params: SystemParams, drive: Drive, rho: np.ndarray,
     r13, r42 = rho[0, 2], rho[3, 1]
     res1 = abs(gs.g21 * r21 + 1j * om * (r23 + r24 - r31 - r41))
     res2 = abs(gs.g43 * r43 + 1j * om * (r41 - r13 + r42 - r23))
-    scale = max(float(np.max(np.abs(rho - np.diag(np.diag(rho))))), 1e-300) \
-        if normalize else 1.0
-    return _report("raman_steady", np.asarray([res1, res2]) / scale, tol, 2)
+    return _report("raman_steady", np.asarray([res1, res2]), tol, 2)
 
 
 def check_raman_steady_table(params: SystemParams, table: SpectrumTable,

@@ -36,9 +36,6 @@ COHERENCE_PAIRS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
 #: column labels matching the packing, used by CSV writers
 COHERENCE_LABELS = ("21", "31", "32", "41", "42", "43")
 
-AS_PRINTED = "as_printed"
-GAMMA_CONSISTENT = "gamma_consistent"
-
 
 #: names of the 16 packed components, in packing order
 STATE_COLUMNS = (tuple(f"rho{i}{i}" for i in range(1, 5))
@@ -87,22 +84,18 @@ def ground_state() -> np.ndarray:
     return rho
 
 
-def hamiltonian(params: SystemParams, drive: Drive, rabi: RabiSet,
-                convention: str = GAMMA_CONSISTENT) -> np.ndarray:
+def hamiltonian(params: SystemParams, drive: Drive,
+                rabi: RabiSet) -> np.ndarray:
     """RWA Hamiltonian (units of hbar*gamma), real symmetric.
 
-    ``gamma_consistent`` uses the diagonal that reproduces the coherence
-    coefficients of :func:`hfs.params.gamma_set` and is the default;
-    ``as_printed`` keeps the alternative diagonal behind a flag for audits.
+    The diagonal ``(0, dg, dg - delta, dg + de - delta)`` reproduces the
+    coherence coefficients of :func:`hfs.params.gamma_set`.  The printed
+    diagonal ``(0, dg, -delta, de - delta)`` is not used: it does not
+    reproduce them.
     """
     delta = drive.delta(params)
     dg, de = params.delta_g, params.delta_e
-    if convention == GAMMA_CONSISTENT:
-        diag = (0.0, dg, dg - delta, dg + de - delta)
-    elif convention == AS_PRINTED:
-        diag = (0.0, dg, -delta, de - delta)
-    else:
-        raise ValueError(f"unknown Hamiltonian convention: {convention!r}")
+    diag = (0.0, dg, dg - delta, dg + de - delta)
     h = np.diag(np.asarray(diag, dtype=float))
     h[0, 2] = h[2, 0] = rabi.o13
     h[0, 3] = h[3, 0] = rabi.o14
@@ -170,7 +163,7 @@ def rhs_oracle(params: SystemParams, drive: Drive, rho: np.ndarray,
     """
     if rabi is None:
         rabi = effective_rabi(params, drive, rho)
-    h = hamiltonian(params, drive, rabi, GAMMA_CONSISTENT)
+    h = hamiltonian(params, drive, rabi)
     out = -1j * (h @ rho - rho @ h)
     for (e, g), name in _DECAY_CHANNELS:
         rate = getattr(params, name)

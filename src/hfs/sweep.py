@@ -44,7 +44,6 @@ class SweepSpec:
     omegas: tuple[float, ...]
     ndd: bool = False
     options: SolveOptions = field(default_factory=SolveOptions)
-    symmetric_grid: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.delta_c, dtype=float)
@@ -62,9 +61,6 @@ class SweepSpec:
             raise ValueError("omega list must contain positive finite values")
         if len(set(self.omegas)) != len(self.omegas):
             raise ValueError("omega list must not repeat a value")
-        if self.symmetric_grid and np.max(np.abs(grid + grid[::-1])) != 0.0:
-            raise ValueError("symmetric_grid set but grid is not mirror-"
-                             "symmetric about 0")
 
     @classmethod
     def linear(cls, lo: float, hi: float, count: int, omegas, ndd=False,
@@ -75,10 +71,8 @@ class SweepSpec:
         if not isinstance(count, (int, np.integer)) or count < 3:
             raise ValueError("detuning grid needs at least 3 points, counted "
                              "by an integer")
-        grid = np.linspace(lo, hi, count)
-        sym = bool(np.max(np.abs(grid + grid[::-1])) == 0.0)
-        return cls(delta_c=tuple(grid), omegas=omegas, ndd=ndd,
-                   options=options or SolveOptions(), symmetric_grid=sym)
+        return cls(delta_c=tuple(np.linspace(lo, hi, count)), omegas=omegas,
+                   ndd=ndd, options=options or SolveOptions())
 
     @classmethod
     def paper_grid(cls, params: SystemParams, count: int = 2001,
@@ -86,15 +80,21 @@ class SweepSpec:
                    omegas=(0.5, 5.0, 20.0, 100.0), ndd: bool = False,
                    options: SolveOptions | None = None) -> "SweepSpec":
         """Symmetric grid over +-span*delta_u, built exactly mirror-symmetric."""
+        if not isinstance(count, (int, np.integer)) or count < 3:
+            raise ValueError("detuning grid needs at least 3 points, counted "
+                             f"by an integer: count = {count!r}")
         if count % 2 == 0:
             raise ValueError("symmetric grid needs an odd point count")
+        if not _is_real(span_delta_u):
+            raise ValueError("span_delta_u must be a real number, not "
+                             f"{span_delta_u!r}")
         if not np.isfinite(float(span_delta_u) * params.delta_u):
             raise ValueError("detuning span must be finite")
         half = np.linspace(0.0, span_delta_u * params.delta_u,
                            (count + 1) // 2)
         grid = np.concatenate([-half[:0:-1], half])
         return cls(delta_c=tuple(grid), omegas=omegas, ndd=ndd,
-                   options=options or SolveOptions(), symmetric_grid=True)
+                   options=options or SolveOptions())
 
 
 class SpectrumTable:

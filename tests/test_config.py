@@ -62,7 +62,8 @@ class TestParsing:
         assert spec.delta_c[0] == pytest.approx(-2.0 * p.delta_u)
         assert spec.omegas == (0.5, 5.0, 20.0)
         assert spec.ndd is False
-        assert spec.symmetric_grid
+        grid = np.asarray(spec.delta_c)
+        assert np.array_equal(grid, -grid[::-1])
         assert spec.options.fp_tol == 1e-10
         assert spec.options.max_iters == 200
 

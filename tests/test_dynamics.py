@@ -577,30 +577,6 @@ class TestRelaxToSteady:
         assert relaxed.converged
         assert np.max(np.abs(relaxed.rho - direct)) < 1e-7
 
-    def test_rk_method_on_easy_point(self, params):
-        # bare detuning zero: fast relaxation, cheap for the explicit RK path
-        drive = hfs.Drive(omega=5.0, delta_c=-params.delta_u)
-        direct = hfs.solve_selfconsistent(params, drive).rho
-        relaxed = hfs.relax_to_steady(params, drive, residual_tol=1e-6,
-                                      method="rk", t_max=200.0)
-        assert relaxed.converged
-        assert np.max(np.abs(relaxed.rho - direct)) < 1e-6
-
-    def test_rk_method_integrates_each_chunk(self, params, monkeypatch):
-        # with a fixed generator evolve's default would propagate exactly;
-        # the rk cross-check must still integrate every chunk
-        methods, solve_ivp = [], scipy.integrate.solve_ivp
-
-        def counted(*args, **kwargs):
-            methods.append(kwargs["method"])
-            return solve_ivp(*args, **kwargs)
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
-        drive = hfs.Drive(omega=5.0, delta_c=-params.delta_u)
-        res = hfs.relax_to_steady(params, drive, residual_tol=1e-6,
-                                  method="rk", t_max=200.0)
-        assert res.converged and res.iterations > 1
-        assert methods == ["DOP853"] * res.iterations
-
     def test_zero_drive_flagged(self, params):
         res = hfs.relax_to_steady(params, hfs.Drive(omega=0.0))
         assert not res.converged
@@ -725,16 +701,6 @@ class TestRelaxToSteady:
         def never(*args):
             raise AssertionError("generator built")
         monkeypatch.setattr(hfs.dynamics, "_affine_split", never)
-
-    def test_unknown_method(self, params, no_work):
-        # also where the state is already steady or the drive is zero, so
-        # that no chunk would run
-        drive = hfs.Drive(omega=5.0, delta_c=12.0)
-        steady = hfs.solve_selfconsistent(params, drive).rho
-        for d, rho0 in ((hfs.Drive(omega=1.0), None), (drive, steady),
-                        (hfs.Drive(omega=0.0), None)):
-            with pytest.raises(ValueError, match="unknown relaxation method"):
-                hfs.relax_to_steady(params, d, rho0=rho0, method="euler")
 
     @pytest.mark.parametrize("name", ["residual_tol", "t_max"])
     def test_invalid_limits(self, params, no_work, name):

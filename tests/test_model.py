@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import hfs
-from hfs.model import (AS_PRINTED, GAMMA_CONSISTENT, pack, unpack,
-                       validate_density_matrix)
+from hfs.model import pack, unpack, validate_density_matrix
 from hfs.params import bare_rabi, gamma_set
 
 
@@ -60,16 +59,10 @@ def test_unpack_matches_pre_change_build(shape):
 
 class TestHamiltonian:
 
-    def test_as_printed_diagonal_no_drive(self):
-        p = hfs.sodium_d1()
-        d = hfs.Drive(omega=0.0, delta_c=-p.delta_u)      # delta = 0
-        h = hfs.hamiltonian(p, d, bare_rabi(p, d), AS_PRINTED)
-        assert np.allclose(np.diag(h), [0.0, p.delta_g, 0.0, p.delta_e])
-
     def test_gamma_consistent_diagonal_no_drive(self):
         p = hfs.sodium_d1()
         d = hfs.Drive(omega=0.0, delta_c=-p.delta_u)
-        h = hfs.hamiltonian(p, d, bare_rabi(p, d), GAMMA_CONSISTENT)
+        h = hfs.hamiltonian(p, d, bare_rabi(p, d))
         assert np.allclose(np.diag(h), [0.0, p.delta_g, p.delta_g,
                                         p.delta_g + p.delta_e])
 
@@ -82,12 +75,6 @@ class TestHamiltonian:
             assert h[j, i] == 1.0
         assert h[0, 1] == 0.0 and h[2, 3] == 0.0
         assert np.allclose(h, h.T)
-
-    def test_unknown_convention(self):
-        p = hfs.sodium_d1()
-        d = hfs.Drive(omega=1.0)
-        with pytest.raises(ValueError):
-            hfs.hamiltonian(p, d, bare_rabi(p, d), "bogus")
 
 
 class TestGenerators:

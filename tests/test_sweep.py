@@ -164,9 +164,6 @@ class TestSweepSpec:
             SweepSpec(delta_c=(-1.0, 0.0, 1.0), omegas=(float("inf"),))
         with pytest.raises(ValueError):
             SweepSpec(delta_c=(-1.0, 0.0, float("inf")), omegas=(1.0,))
-        with pytest.raises(ValueError):
-            SweepSpec(delta_c=(-1.0, 0.0, 2.0), omegas=(1.0,),
-                      symmetric_grid=True)
         with pytest.raises(ValueError, match="repeat"):
             SweepSpec(delta_c=(-1.0, 0.0, 1.0), omegas=(5.0, 20.0, 5.0))
 
@@ -203,6 +200,27 @@ class TestSweepSpec:
                 SweepSpec.linear(lo, hi, 5, (1.0,))
         with pytest.raises(ValueError, match="finite"):
             SweepSpec.paper_grid(params, count=5, span_delta_u=np.inf)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(count=2001.0), "count"),
+        (dict(count=np.float64(5)), "count"),
+        (dict(count="5"), "count"),
+        (dict(count=None), "count"),
+        (dict(count=5, span_delta_u="5"), "span_delta_u"),
+        (dict(count=5, span_delta_u=None), "span_delta_u"),
+        (dict(count=5, span_delta_u=True), "span_delta_u")],
+        ids=["count-float", "count-np-float", "count-str", "count-none",
+             "span-str", "span-none", "span-bool"])
+    def test_paper_grid_rejects_non_numbers(self, params, kwargs, match):
+        # each raised TypeError (or ran True as 1.0) before
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.paper_grid(params, **kwargs)
+
+    def test_paper_grid_accepts_numpy_numbers(self, params):
+        spec = SweepSpec.paper_grid(params, count=np.int64(5),
+                                    span_delta_u=np.float64(1.0))
+        ref = SweepSpec.paper_grid(params, count=5, span_delta_u=1.0)
+        assert spec.delta_c == ref.delta_c
 
     def test_paper_grid_exactly_symmetric(self, params):
         spec = SweepSpec.paper_grid(params, count=101, span_delta_u=3.0)
