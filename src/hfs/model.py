@@ -89,9 +89,9 @@ def hamiltonian(params: SystemParams, drive: Drive,
     """RWA Hamiltonian (units of hbar*gamma), real symmetric.
 
     The diagonal ``(0, dg, dg - delta, dg + de - delta)`` reproduces the
-    coherence coefficients of :func:`hfs.params.gamma_set`.  The printed
-    diagonal ``(0, dg, -delta, de - delta)`` is not used: it does not
-    reproduce them.
+    coherence coefficients of :func:`hfs.params.gamma_set`.  The diagonal
+    as printed in the paper, ``(0, dg, -delta, de - delta)``, is not used:
+    it does not reproduce them.
     """
     delta = drive.delta(params)
     dg, de = params.delta_g, params.delta_e
