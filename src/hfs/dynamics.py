@@ -311,7 +311,10 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     a fixed generator this removes the drift's whole effect; with the
     local-field correction on, the couplings followed the drifted state
     along the way, so a remainder is left.  A state whose trace vanished
-    or overflowed comes back NaN and not converged.
+    comes back NaN and not converged.  So does a propagation that
+    overflows (the squared propagator can, for ``t_max`` beyond ~1e17):
+    it stops at the first non-finite state, without a RuntimeWarning, and
+    its message says that it overflowed.
 
     ``residual_tol`` bounds the residual, not the distance to the fixed
     point, which can be larger by a factor of about one over the decay rate
@@ -357,42 +360,49 @@ def relax_to_steady(params: SystemParams, drive: Drive,
     # slot 0, and a fixed generator's squarings alternate between the
     # propagator's slot and slot 2
     work = np.empty((5, 16, 16))
-    t, chunk, iterations = 0.0, 1.0, 0
+    t, chunk, iterations, overflowed = 0.0, 1.0, 0, False
     prop, spare = None, work[2]
-    while t < t_max:
-        dt = min(chunk, t_max - t)
-        if fixed and prop is not None and dt == chunk:
-            # twice the last chunk: expm(2 A s) = expm(A s)^2, into the
-            # spare slot, which the last propagator becomes
-            prop, spare = np.dot(prop, prop, out=spare), prop
-        else:
-            prop = _expm(np.multiply(a, dt, out=work[0]), work)
-        x = np.dot(prop, x)
-        t += dt
-        chunk *= 2.0
-        iterations += 1
-        if not fixed:
-            np.subtract(a_bare_flat, np.dot(x, g, out=xg), out=a_flat)
-        np.dot(a, x, out=v)
-        # max|v| <= _rho_max_abs(v): a chunk with max|v| at or above the
-        # tolerance is not converged; a NaN goes on to the full residual
-        if np.abs(v).max() >= residual_tol and t < t_max:
-            continue
-        resid = float(_rho_max_abs(v))
-        if resid < residual_tol:
-            break
-    # the residual cannot see a drift of the trace (A (c x) = c A x), so a
-    # state that drifted is renormalised, as evolve's samples are, and its
-    # residual taken again at its own couplings
-    tr = x[:4].sum()
-    if abs(tr - 1.0) > _TRACE_DEFECT_LIMIT:
-        # a trace that vanished or overflowed leaves a NaN state, which is
-        # not converged
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # over very long horizons the propagator, squared or not, can overflow:
+    # the loop stops at the first chunk whose full residual is not finite,
+    # and the renormalisation below may divide by 0; neither warns
+    with np.errstate(all="ignore"):
+        while t < t_max:
+            dt = min(chunk, t_max - t)
+            if fixed and prop is not None and dt == chunk:
+                # twice the last chunk: expm(2 A s) = expm(A s)^2, into the
+                # spare slot, which the last propagator becomes
+                prop, spare = np.dot(prop, prop, out=spare), prop
+            else:
+                prop = _expm(np.multiply(a, dt, out=work[0]), work)
+            x = np.dot(prop, x)
+            t += dt
+            chunk *= 2.0
+            iterations += 1
+            if not fixed:
+                np.subtract(a_bare_flat, np.dot(x, g, out=xg), out=a_flat)
+            np.dot(a, x, out=v)
+            # max|v| <= _rho_max_abs(v): a chunk with max|v| at or above
+            # the tolerance is not converged; a NaN goes on to the full
+            # residual.  A non-finite x gives one: every column of a has
+            # zeros, and 0 * inf is NaN
+            if np.abs(v).max() >= residual_tol and t < t_max:
+                continue
+            resid = float(_rho_max_abs(v))
+            if resid < residual_tol:
+                break
+            if not resid < np.inf:
+                overflowed, x, resid = True, np.full(16, np.nan), np.nan
+                break
+        # the residual cannot see a drift of the trace (A (c x) = c A x),
+        # so a state that drifted is renormalised, as evolve's samples
+        # are, and its residual taken again at its own couplings; a trace
+        # that vanished leaves a NaN state, which is not converged
+        tr = x[:4].sum()
+        if abs(tr - 1.0) > _TRACE_DEFECT_LIMIT:
             x = x / tr
-        if not fixed:
-            np.subtract(a_bare_flat, np.dot(x, g, out=xg), out=a_flat)
-        resid = float(_rho_max_abs(np.dot(a, x, out=v)))
+            if not fixed:
+                np.subtract(a_bare_flat, np.dot(x, g, out=xg), out=a_flat)
+            resid = float(_rho_max_abs(np.dot(a, x, out=v)))
     converged = resid < residual_tol
     # effective_rabi's couplings, from the packed state: the bare ones
     # with the correction off
@@ -401,5 +411,6 @@ def relax_to_steady(params: SystemParams, drive: Drive,
                         iterations=iterations, residual=resid,
                         rabi_final=RabiSet(*rabi.tolist()),
                         message="" if converged else
-                        f"residual {resid:.3e} above tolerance "
+                        f"propagation overflowed at t = {t}" if overflowed
+                        else f"residual {resid:.3e} above tolerance "
                         f"after t = {t_max}")

@@ -19,6 +19,9 @@ NORMAL = "normal"
 ANOMALOUS = "anomalous"
 GAIN = "gain"
 ABSORPTION = "absorption"
+#: the labels :func:`classify` gives, blank where its input is not finite
+DISPERSION_LABELS = frozenset({NORMAL, ANOMALOUS, ""})
+LINE_LABELS = frozenset({GAIN, ABSORPTION, ""})
 
 #: optical transition id -> (0-based coherence index, epsilon pair key)
 TRANSITIONS = {

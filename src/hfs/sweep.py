@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +31,18 @@ COLUMNS = (
        "converged", "iterations", "residual"]
 )
 
+# each label column's vocabulary: the labels optics.classify gives
+_LABELS = {f"{kind}_class_{tr}": words for tr in ("31", "41")
+           for kind, words in (("dispersion", optics.DISPERSION_LABELS),
+                               ("line", optics.LINE_LABELS))}
+
 _DTYPES = {**dict.fromkeys(COLUMNS, float), "ndd": bool, "converged": bool,
-           "iterations": np.int64,
-           **dict.fromkeys(["dispersion_class_31", "line_class_31",
-                            "dispersion_class_41", "line_class_41"], object)}
+           "iterations": np.int64, **dict.fromkeys(_LABELS, object)}
+
+
+# one CSV row's format: its cells in COLUMNS order
+_CSV_ROW = ",".join("%.17g" if _DTYPES[c] is float else "%s"
+                    for c in COLUMNS) + "\n"
 
 
 @dataclass(frozen=True)
@@ -101,16 +110,27 @@ class SpectrumTable:
     """Sweep results in (omega, delta_c) row order, one array per column.
 
     ``columns`` maps each name in COLUMNS to one value per grid point, of
-    the column's type in ``_DTYPES`` (labels are str in object arrays).
-    Each omega's rows are one block, so ``column(name, omega)`` is a slice.
-    The table makes the arrays read-only; copy a column to change it.
+    the column's type in ``_DTYPES`` (labels are str in object arrays).  A
+    label column holds only the labels :func:`hfs.optics.classify` gives;
+    any other value raises ValueError naming the column.  Each omega's rows
+    are one block, so ``column(name, omega)`` is a slice.  The table keeps
+    read-only copies of the arrays; copy a column to change it.  Since
+    nothing can change them, the text of the CSV rows is built on first
+    use and kept (``_csv_body``), and both writers share it.
     """
 
     def __init__(self, columns: dict):
         self._columns = {}
         for c in COLUMNS:
-            self._columns[c] = np.asarray(columns[c], dtype=_DTYPES[c])
+            # a copy: nothing outside the table can change a column under
+            # its kept CSV text
+            self._columns[c] = np.array(columns[c], dtype=_DTYPES[c])
             self._columns[c].flags.writeable = False
+        for c, words in _LABELS.items():
+            bad = set(self._columns[c].tolist()) - words
+            if bad:
+                raise ValueError(f"column {c} holds labels outside "
+                                 f"{sorted(words)}: {sorted(map(repr, bad))}")
         om = self._columns["omega_over_gamma"]
         starts = np.flatnonzero(np.r_[True, om[1:] != om[:-1]][:om.size])
         self._blocks = {float(om[a]): slice(a, b) for a, b in
@@ -137,6 +157,12 @@ class SpectrumTable:
     def coherence(self, label: str, omega: float | None = None) -> np.ndarray:
         return (self.column(f"re_rho{label}", omega)
                 + 1j * self.column(f"im_rho{label}", omega))
+
+    @cached_property
+    def _csv_body(self) -> str:
+        """One line per grid point: floats as ``%.17g``, bools as
+        true/false, integers and labels as ``str`` gives them."""
+        return _CSV_ROW * len(self) % _cells(self)
 
 
 def _solve_one_intensity(params: SystemParams, spec: SweepSpec,
@@ -173,30 +199,25 @@ def run_sweep(params: SystemParams, spec: SweepSpec) -> SpectrumTable:
                           for c in COLUMNS})
 
 
-def _cells(table: SpectrumTable, floats, labels) -> tuple:
-    """Every cell in row-major order: floats through ``floats`` (column to
-    list), labels through ``labels`` (str to text), bools as true/false."""
+def _cells(table: SpectrumTable) -> tuple:
+    """Every cell in row-major order: bools as true/false, the rest as
+    Python numbers and str."""
     ncol = len(COLUMNS)
     flat = [None] * (len(table) * ncol)
     for j, c in enumerate(COLUMNS):
         col = table.column(c)
-        if _DTYPES[c] is object:
-            text = {v: labels(v) for v in set(col.tolist())}
-            flat[j::ncol] = [text[v] for v in col.tolist()]
-        elif _DTYPES[c] is bool:
-            flat[j::ncol] = np.where(col, "true", "false").tolist()
-        else:
-            flat[j::ncol] = floats(col) if _DTYPES[c] is float \
-                else col.tolist()
+        if _DTYPES[c] is bool:
+            col = np.where(col, "true", "false")
+        flat[j::ncol] = col.tolist()
     return tuple(flat)
 
 
 def write_csv(table: SpectrumTable, path) -> None:
     """One header line, then one row per grid point: floats as ``%.17g``
-    (round-trips exactly), bools as true/false, labels verbatim."""
-    row = ",".join("%.17g" if _DTYPES[c] is float else "%s"
-                   for c in COLUMNS) + "\n"
-    text = row * len(table) % _cells(table, np.ndarray.tolist, str)
+    (round-trips exactly), bools as true/false, labels verbatim.  The rows
+    are the table's kept text, formatted on the first write of either
+    format."""
+    text = table._csv_body
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(COLUMNS) + "\n")
@@ -205,28 +226,53 @@ def write_csv(table: SpectrumTable, path) -> None:
         raise OSError(f"failed writing sweep CSV to {path}: {exc}") from exc
 
 
+_JSON_ROW = " {\n" + ",\n".join(f"  {json.dumps(c)}: %s"
+                                 for c in COLUMNS) + "\n }"
+_JSON_LABELS = {v: json.dumps(v) for v in set().union(*_LABELS.values())}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# rows formatted and written at a time, which bounds write_json's memory
+_JSON_BLOCK = 512
 
 
-def _json_floats(col: np.ndarray) -> list:
-    """Python floats (``%s`` gives their repr, as ``json.dump`` does), and
-    the text ``json.dump`` writes for NaN and the infinities."""
-    vals = col.tolist()
-    for k in np.flatnonzero(~np.isfinite(col)).tolist():
-        vals[k] = _JSON_NONFINITE[repr(vals[k])]
-    return vals
+def _json_rows(table: SpectrumTable, lines: list, a: int, b: int) -> str:
+    """Rows ``a`` to ``b - 1`` as JSON objects, from their CSV lines."""
+    ncol = len(COLUMNS)
+    cells = ",".join(lines[a:b]).split(",")
+    for j, c in enumerate(COLUMNS):
+        if _DTYPES[c] is object:
+            cells[j::ncol] = [_JSON_LABELS[v] for v in cells[j::ncol]]
+        elif _DTYPES[c] is float:
+            col = table.column(c)[a:b]
+            redo = np.flatnonzero(~np.isfinite(col) | (np.trunc(col) == col))
+            for k, v in zip(redo.tolist(), col[redo].tolist()):
+                text = repr(v)
+                cells[k * ncol + j] = _JSON_NONFINITE.get(text, text)
+    return ",\n".join([_JSON_ROW] * (b - a)) % tuple(cells)
 
 
 def write_json(table: SpectrumTable, path) -> None:
-    """A list of one object per grid point, keys in COLUMNS order: the
-    bytes ``json.dump(rows, fh, indent=1)`` writes, plus a newline."""
-    row = " {\n" + ",\n".join(f"  {json.dumps(c)}: %s"
-                               for c in COLUMNS) + "\n }"
-    body = ",\n".join([row] * len(table)) \
-        % _cells(table, _json_floats, json.dumps)
+    """A list of one object per grid point, keys in COLUMNS order, laid out
+    as ``json.dump(rows, fh, indent=1)`` lays it out, plus a newline.
+
+    The cells are those of the CSV rows (see :func:`write_csv`), split
+    from the table's kept text, not formatted again: bools and integers as
+    they are, labels as JSON strings.  A float keeps its ``%.17g`` text
+    (e.g. 0.10000000000000001), which loads back to the same float; an
+    integral one (-0.0 included), which that text would make a JSON
+    integer, is written as ``repr`` gives it, and NaN and the infinities as
+    ``json.dump`` writes them.
+    """
+    lines = table._csv_body.split("\n")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"[\n{body}\n]\n" if len(table) else "[]\n")
+            if not len(table):
+                fh.write("[]\n")
+                return
+            for a in range(0, len(table), _JSON_BLOCK):
+                fh.write(",\n" if a else "[\n")
+                fh.write(_json_rows(table, lines, a,
+                                    min(a + _JSON_BLOCK, len(table))))
+            fh.write("\n]\n")
     except OSError as exc:
         raise OSError(f"failed writing sweep JSON to {path}: {exc}") from exc
 

@@ -612,6 +612,17 @@ class TestRelaxToSteady:
         assert not res.converged and res.iterations == 53
         assert np.isnan(res.rho).all() and np.isnan(res.residual)
 
+    def test_overflow_stops_without_warning(self, params):
+        # with the correction off, the squared propagator overflows in the
+        # 59th chunk, at t = 2**59 - 1; the suite makes a RuntimeWarning an
+        # error, so the overflow must not warn
+        drive = hfs.Drive(omega=5.0, delta_c=12.0)
+        res = hfs.relax_to_steady(params, drive, residual_tol=1e-300,
+                                  t_max=1e20)
+        assert not res.converged and res.iterations == 59
+        assert res.message == f"propagation overflowed at t = {2.0**59 - 1}"
+        assert np.isnan(res.rho).all() and np.isnan(res.residual)
+
     def test_nonconvergence_flagged_not_raised(self, params):
         drive = hfs.Drive(omega=0.2, delta_c=2.0 * params.delta_u)
         res = hfs.relax_to_steady(params, drive, residual_tol=1e-13,

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -131,10 +132,44 @@ def csv_oracle(table, path):
                      + "\n")
 
 
+def _json_cell_oracle(value, col):
+    """The CSV oracle's cell, as JSON: labels quoted, and a float that is
+    integral (-0.0 included) or not finite as ``json.dumps`` gives it."""
+    text = _format_oracle(value, col)
+    if col in LABEL_COLUMNS:
+        return json.dumps(text)
+    if sweep._DTYPES[col] is float and not (math.isfinite(value)
+                                            and not value.is_integer()):
+        return json.dumps(value)
+    return text
+
+
 def json_oracle(table, path):
+    rows = [" {\n" + ",\n".join(f"  {json.dumps(c)}: "
+                                 f"{_json_cell_oracle(rec[c], c)}"
+                                 for c in COLUMNS) + "\n }"
+            for rec in _records(table)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n")
+
+
+def json_dump_oracle(table, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_records(table), fh, indent=1)
         fh.write("\n")
+
+
+def typed_json(path):
+    """Every value of a JSON file with its type, NaN equal to NaN and -0.0
+    apart from 0.0 (a float's repr round-trips its value)."""
+    def typed(v):
+        if isinstance(v, list):
+            return [typed(x) for x in v]
+        if isinstance(v, dict):
+            return [(k, typed(x)) for k, x in v.items()]
+        return type(v), repr(v)
+    with open(path, encoding="utf-8") as fh:
+        return typed(json.load(fh))
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +432,10 @@ class TestSerialization:
             again = tmp_path / f"again.{ext}"
             write(back, again)
             assert again.read_bytes() == ref.read_bytes(), ext
+        # the JSON holds the values, of the types, json.dump writes
+        json_dump_oracle(table, tmp_path / "dump.json")
+        assert typed_json(tmp_path / "got.json") \
+            == typed_json(tmp_path / "dump.json")
 
     def test_empty_table_bytes(self, tmp_path):
         table = SpectrumTable({c: [] for c in COLUMNS})
@@ -406,7 +445,114 @@ class TestSerialization:
             write(table, got)
             oracle(table, ref)
             assert got.read_bytes() == ref.read_bytes(), ext
+        json_dump_oracle(table, tmp_path / "dump.json")
+        assert typed_json(tmp_path / "got.json") \
+            == typed_json(tmp_path / "dump.json")
         assert len(read_csv(tmp_path / "got.csv")) == 0
+
+    def test_json_round_trip_bits(self, small_table, tmp_path):
+        # floats whose %.17g text is not a JSON float: integral ones (-0.0,
+        # 1e16, 2**53 + 2, the omegas 5.0) and the non-finite ones
+        cols = table_columns(small_table)
+        odd = [-0.0, 5e-324, 0.1, 1e16, 1e17, 2.0**53 + 2,
+               np.inf, -np.inf, np.nan, 3.0, -7.0]
+        for c in ("w_e", "residual", "chi41_re"):
+            cols[c][60:60 + len(odd)] = odd
+        cols["delta_c_over_delta_u"][50] = -0.0
+        table = SpectrumTable(cols)
+        path = tmp_path / "t.json"
+        write_json(table, path)
+        back = read_json(path)
+        for c in COLUMNS:
+            x, y = table.column(c), back.column(c)
+            assert x.dtype == y.dtype, c
+            if x.dtype == object:
+                assert x.tolist() == y.tolist(), c
+            else:
+                assert x.tobytes() == y.tobytes(), c
+        rows = json.loads(path.read_text())
+        for c in COLUMNS:
+            if sweep._DTYPES[c] is float:
+                assert {type(r[c]) for r in rows} == {float}, c
+        assert '"w_e": 0.10000000000000001,' in path.read_text()
+
+    @pytest.mark.parametrize("block", [1, 5, 41])
+    def test_json_written_in_blocks(self, small_table, tmp_path, monkeypatch,
+                                    block):
+        # 82 rows in blocks of one row, with a remainder, and in whole blocks
+        monkeypatch.setattr(sweep, "_JSON_BLOCK", block)
+        write_json(small_table, tmp_path / "got.json")
+        json_oracle(small_table, tmp_path / "ref.json")
+        assert (tmp_path / "got.json").read_bytes() \
+            == (tmp_path / "ref.json").read_bytes()
+
+    def test_write_order_does_not_matter(self, small_table, tmp_path):
+        cols = table_columns(small_table)
+        writers = {"csv": write_csv, "json": write_json}
+
+        def written(*order):
+            """Bytes of each write of a fresh table, in ``order``."""
+            table, out = SpectrumTable(cols), []
+            for i, ext in enumerate(order):
+                path = tmp_path / f"{'-'.join(order)}-{i}.{ext}"
+                writers[ext](table, path)
+                out.append(path.read_bytes())
+            return out
+
+        csv_bytes, json_bytes = written("csv", "json")
+        assert written("json", "csv") == [json_bytes, csv_bytes]
+        assert written("json") == [json_bytes]
+        assert written("csv", "csv") == [csv_bytes, csv_bytes]
+
+    def test_tables_do_not_share_text(self, small_table, tmp_path):
+        cols = table_columns(small_table)
+        first = SpectrumTable(cols)
+        write_csv(first, tmp_path / "first.csv")
+        # the table copied the arrays: changing them changes a new table's
+        # text, not the first one's
+        cols["rho11"][3], cols["line_class_31"][4] = 0.25, ""
+        second = SpectrumTable(cols)
+        for name, table in (("first", first), ("second", second)):
+            for ext, write, oracle in (("csv", write_csv, csv_oracle),
+                                       ("json", write_json, json_oracle)):
+                got, ref = tmp_path / f"{name}.{ext}", tmp_path / f"ref.{ext}"
+                write(table, got)
+                oracle(table, ref)
+                assert got.read_bytes() == ref.read_bytes(), (name, ext)
+        assert (tmp_path / "first.csv").read_bytes() \
+            != (tmp_path / "second.csv").read_bytes()
+        assert_same_table(first, small_table)
+
+    @pytest.mark.parametrize("col, label", [
+        ("line_class_31", "gain,absorption"), ("line_class_41", "normal"),
+        ("dispersion_class_31", "gain"), ("dispersion_class_41", "x\ny"),
+        ("dispersion_class_41", 1.0)])
+    def test_label_outside_vocabulary_rejected(self, small_table, tmp_path,
+                                               col, label):
+        cols = table_columns(small_table)
+        cols[col][7] = label
+        with pytest.raises(ValueError, match=f"column {col} holds labels"):
+            SpectrumTable(cols)
+        if not isinstance(label, str):
+            return
+        # the readers inherit the check, and name the file
+        path = tmp_path / "t.csv"
+        write_csv(small_table, path)
+        lines = path.read_text().split("\n")
+        cells = lines[8].split(",")
+        cells[COLUMNS.index(col)] = label
+        lines[8] = ",".join(cells)
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_csv(path)
+        path = tmp_path / "t.json"
+        write_json(small_table, path)
+        rows = json.loads(path.read_text())
+        rows[7][col] = label
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match=f"column {col} holds labels.*"
+                           + re.escape(str(path))):
+            read_json(path)
 
     def test_csv_deterministic_bytes(self, params, tmp_path):
         spec = SweepSpec.paper_grid(params, count=11, span_delta_u=0.5,
